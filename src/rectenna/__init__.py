@@ -34,6 +34,8 @@ from .rcfilter import (
     eval_filtered,
     filtered_series,
     max_ripple,
+    period_extrema,
+    period_samples,
     ripple_peak,
     transfer,
 )
@@ -42,6 +44,7 @@ from .rectifier import (
     FourierSeries,
     RectifierKind,
     build_series,
+    coefficients,
     eval_series,
     fourier_coefficient,
     multisine_a0,
@@ -71,6 +74,7 @@ __all__ = [
     "amplification_factor",
     "analytic_ripple",
     "build_series",
+    "coefficients",
     "dc_limits",
     "dc_voltage",
     "eval_filtered",
@@ -83,6 +87,8 @@ __all__ = [
     "max_ripple",
     "multisine_a0",
     "optimize_capacitance",
+    "period_extrema",
+    "period_samples",
     "quad_b_coefficient",
     "quad_coefficient",
     "quad_multisine_a0",

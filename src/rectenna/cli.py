@@ -23,6 +23,7 @@ from .rcfilter import (
     eval_filtered,
     filtered_series,
     max_ripple,
+    require_finite_positive,
     ripple_peak,
 )
 from .rectifier import (
@@ -70,6 +71,9 @@ def _json_value(value):
 
 
 def _emit(header: list[str], rows: list[list], config: RunConfig) -> None:
+    # finite inputs can still overflow (fc or rl near the float maximum)
+    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+        raise ValueError("result is not finite; an input is out of range")
     if config.output_format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -111,8 +115,8 @@ def _grid(lo: float, hi: float, points: int, spacing: str) -> np.ndarray:
 def _filter_from_args(args, resistance: float) -> RcFilter:
     if args.cap is not None:
         return RcFilter(resistance, args.cap)
-    # --fcut 0 (or inf) means the unfiltered tau = 0 case
-    if args.fcut == 0 or math.isinf(args.fcut):
+    # --fcut 0 (or inf, which from_cutoff maps to C = 0) means the unfiltered case
+    if args.fcut == 0:
         return RcFilter(resistance, 0.0)
     return RcFilter.from_cutoff(resistance, args.fcut)
 
@@ -398,10 +402,12 @@ def main(argv=None) -> int:
         output_format=args.format,
         output_path=args.out,
     )
-    if config.amplitude <= 0 or config.fc <= 0 or config.resistance <= 0 or config.truncation < 1:
-        print("error: amplitude, fc, rl must be > 0 and truncation >= 1", file=sys.stderr)
-        return 2
     try:
+        require_finite_positive("--amplitude", config.amplitude)
+        require_finite_positive("--fc", config.fc)
+        require_finite_positive("--rl", config.resistance)
+        if config.truncation < 1:
+            raise ValueError(f"--truncation must be >= 1, got {config.truncation}")
         return _HANDLERS[args.command](args, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import sample_stats
 from .rcfilter import (
     RcFilter,
     amplification_factor,
     dc_voltage,
     eval_filtered,
     filtered_series,
+    period_extrema,
+    require_finite_positive,
     ripple_peak,
 )
 from .rectifier import DEFAULT_TRUNCATION, RectifierKind, build_series, rectify
@@ -85,8 +86,8 @@ def sampled_ripple(
     samples: int = DEFAULT_SAMPLES,
 ) -> float:
     """Peak-to-peak of the filter output over one carrier period, sampled."""
-    fs = _output_series(kind, filt, amplitude, fc, truncation)
-    return sample_stats(lambda t: eval_filtered(fs, t), 1.0 / fc, samples).peak_to_peak
+    vmax, vmin = period_extrema(_output_series(kind, filt, amplitude, fc, truncation), samples)
+    return vmax - vmin
 
 
 def analytic_ripple(
@@ -96,7 +97,7 @@ def analytic_ripple(
     fc: float,
     truncation: int = DEFAULT_TRUNCATION,
 ) -> float:
-    """Aligned-phase peak estimate minus the DC level."""
+    """Aligned-phase peak approximation minus the DC level."""
     return ripple_peak(kind, filt, amplitude, fc, truncation) - dc_voltage(
         kind, filt, amplitude, fc
     )
@@ -115,7 +116,9 @@ def sweep_cutoff(
     samples: int = DEFAULT_SAMPLES,
 ) -> list[SweepRow]:
     """Tabulate DC voltage and ripple on a cut-off frequency grid."""
-    if not 0 < cutoff_min < cutoff_max:
+    require_finite_positive("cutoff_min", cutoff_min)
+    require_finite_positive("cutoff_max", cutoff_max)
+    if not cutoff_min < cutoff_max:
         raise ValueError(f"need 0 < cutoff_min < cutoff_max, got {cutoff_min}, {cutoff_max}")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
@@ -156,10 +159,10 @@ def optimize_capacitance(
     Bisects on log tau, relying on ripple falling and DC voltage falling as
     tau grows; the returned ripple is re-evaluated at the chosen capacitance
     so the result is self-consistent with the metric.  A budget at or above
-    the unfiltered ripple returns C = 0 (the unconstrained optimum).
+    the unfiltered ripple returns C = 0 (the unconstrained optimum); one the
+    search range cannot reach raises ``ValueError``.
     """
-    if ripple_budget <= 0:
-        raise ValueError(f"ripple_budget must be > 0, got {ripple_budget}")
+    require_finite_positive("ripple_budget", ripple_budget)
     if ripple_metric not in RIPPLE_METRICS:
         raise ValueError(f"ripple_metric must be one of {RIPPLE_METRICS}, got {ripple_metric!r}")
 
@@ -191,7 +194,7 @@ def optimize_capacitance(
     while metric(hi / resistance) > ripple_budget:
         hi *= 10.0
         if hi > _TAU_HI_MAX:
-            raise RuntimeError("ripple budget not reachable within the tau search range")
+            raise ValueError("ripple budget not reachable within the tau search range")
 
     for _ in range(_MAX_BISECTIONS):
         if hi / lo - 1.0 <= _TAU_REL_TOL:

@@ -24,6 +24,7 @@ __all__ = [
     "quad_b_coefficient",
     "quad_multisine_a0",
     "sample_stats",
+    "sharpen_max",
 ]
 
 _GAUSS_ORDER = 32
@@ -145,6 +146,9 @@ class SampleStats:
 
 
 def _golden_maximize(f: Callable, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    # far from t = 0 adjacent floats can sit more than tol apart (t > ~4e3 s
+    # for 1e-12 s); stop at a few float spacings there instead of looping
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -160,6 +164,20 @@ def _golden_maximize(f: Callable, lo: float, hi: float, tol: float) -> tuple[flo
             fd = float(f(d))
     x = 0.5 * (a + b)
     return x, float(f(x))
+
+
+def sharpen_max(f: Callable, t: float, value: float, spacing: float) -> tuple[float, float]:
+    """Sharpen a sampled maximum ``value = f(t)`` on a grid of ``spacing``.
+
+    Golden-section search over ``[t - spacing, t + spacing]`` down to 1e-12 s,
+    skipped when the grid is already that fine; returns the better
+    ``(value, t)``.
+    """
+    if spacing > _ARGMAX_RESOLUTION:
+        x, fx = _golden_maximize(f, t - spacing, t + spacing, _ARGMAX_RESOLUTION)
+        if fx > value:
+            return fx, x
+    return value, t
 
 
 def sample_stats(f: Callable, period: float, n: int, refine_argmax: bool = True) -> SampleStats:
@@ -182,11 +200,8 @@ def sample_stats(f: Callable, period: float, n: int, refine_argmax: bool = True)
     vmax = float(values[idx])
     vmin = float(values.min())
     argmax_t = float(ts[idx])
-    spacing = period / n
-    if refine_argmax and spacing > _ARGMAX_RESOLUTION:
-        x, fx = _golden_maximize(f, argmax_t - spacing, argmax_t + spacing, _ARGMAX_RESOLUTION)
-        if fx > vmax:
-            vmax, argmax_t = fx, x
+    if refine_argmax:
+        vmax, argmax_t = sharpen_max(f, argmax_t, vmax, period / n)
     return SampleStats(
         mean=mean,
         max=vmax,

@@ -26,6 +26,7 @@ __all__ = [
     "FourierSeries",
     "rectify",
     "fourier_coefficient",
+    "coefficients",
     "build_series",
     "eval_series",
     "multisine_a0",
@@ -69,6 +70,23 @@ def fourier_coefficient(kind: RectifierKind, k: int) -> float:
     return numerator * cs / (math.pi * (1.0 - k * k))
 
 
+def coefficients(kind: RectifierKind, truncation: int) -> np.ndarray:
+    """Cosine coefficients ``a_1 .. a_K`` as one array.
+
+    The same ``k mod 4`` rule as :func:`fourier_coefficient`, vectorized, and
+    bitwise equal to it: odd k != 1 are exactly +0.0.
+    """
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    numerator = 4.0 if kind is RectifierKind.FULL_WAVE else 2.0
+    ak = np.zeros(truncation)
+    ak[0] = fourier_coefficient(kind, 1)
+    even = np.arange(2, truncation + 1, 2)
+    cs = np.take(_COS_HALF_PI, even % 4)
+    ak[1::2] = numerator * cs / (math.pi * (1.0 - even.astype(float) ** 2))
+    return ak
+
+
 @dataclass(frozen=True)
 class FourierSeries:
     """Truncated cosine series of a rectified carrier.
@@ -103,9 +121,7 @@ def build_series(
     fc: float = 1.0,
 ) -> FourierSeries:
     """Build the series truncated at harmonic ``truncation`` (K >= 1)."""
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    ak = np.array([fourier_coefficient(kind, k) for k in range(1, truncation + 1)])
+    ak = coefficients(kind, truncation)
     ak.setflags(write=False)
     return FourierSeries(
         kind=kind,

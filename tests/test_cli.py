@@ -1,8 +1,13 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectenna import (
     RcFilter,
@@ -158,3 +163,89 @@ def test_unknown_command_exits_two(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_fcut_zero_and_inf_both_mean_no_capacitor(capsys):
+    _, zero, _ = run_cli(capsys, ["trace", "--fcut", "0"])
+    _, inf, _ = run_cli(capsys, ["trace", "--fcut", "inf"])
+    assert zero == inf
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--amplitude=nan", "--budget", "0.1"],
+        ["design", "--rl=inf", "--budget", "0.1"],
+        ["design", "--budget=nan"],
+        ["design", "--budget=inf"],
+        ["design", "--budget", "1e-300"],  # unreachable within the tau search range
+        ["trace", "--cap=nan"],
+        ["trace", "--fcut=-inf"],
+        ["trace", "--fcut=nan"],
+        ["sweep", "--fcut", "1e8:inf:3:log"],
+        ["multisine-a0", "--df=nan"],
+        ["trace", "--fc=1.7e308", "--fcut", "0"],  # finite input, overflowing output
+    ],
+)
+def test_non_finite_or_unreachable_input_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["trace-cap", "trace-fcut", "sweep", "design"]),
+    knob=st.sampled_from(["--amplitude", "--fc", "--rl"]),
+    knob_value=ANY_FLOAT,
+    value=ANY_FLOAT,
+)
+def test_cli_never_exits_zero_with_non_finite_output(command, knob, knob_value, value):
+    argv = {
+        "trace-cap": ["trace", f"--cap={value!r}"],
+        "trace-fcut": ["trace", f"--fcut={value!r}"],
+        "sweep": ["sweep", f"--fcut={value!r}:1e11:3:log"],
+        "design": ["design", f"--budget={value!r}", "--metric", "analytic"],
+    }[command] + [f"{knob}={knob_value!r}", "--truncation", "32"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument
+            code = exc.code
+    if code != 0:
+        return
+    _, rows = parse_csv(out.getvalue())
+    cells = [cell for row in rows for cell in row if cell not in ("true", "false")]
+    assert all(math.isfinite(float(cell)) for cell in cells), argv
+
+
+# stdout SHA-256 of each command, recorded before the FFT period-grid engine
+# replaced the per-harmonic loop; later speed-ups must keep these bytes
+GOLDEN = {
+    ("sweep", "--fcut", "1e8:1e11:50:log", "--fc", "13.56e6"):
+        "bf6a490f5782961056a3e00642abb466a4c4935d0da1b864731fece3302c509e",
+    ("sweep", "--fcut", "1e8:1e11:50:log", "--fc", "915e6"):
+        "8511e7097762eb3e8eafc67b6ea8006a1ba227607ebfef40c68911c83b8b458d",
+    ("design", "--budget", "0.1", "--metric", "sampled", "--kind", "full"):
+        "dfed893079b4665e5487c3ac7f82ac22868feb486e1e6e2c3faac5039296eaa2",
+    ("design", "--budget", "0.1", "--metric", "analytic", "--kind", "full"):
+        "ab0e4c3eeecd16e35223ec40fe6e51e012697b4a20212a36f94d295afa60a70d",
+    ("design", "--budget", "0.1", "--metric", "sampled", "--kind", "half"):
+        "8c2260b98f39dccff7ef29a53772210eb26979f37f762341442314a7f4e6aa38",
+    ("design", "--budget", "0.1", "--metric", "analytic", "--kind", "half"):
+        "d3a8a000751ef8dedc565799bb78e06214053ccf1bc0bdc8a9448e6b4d5f1089",
+    ("trace", "--cap", "1e-10"):
+        "d1fce3b4215e6c8431797ee23ffd06038d52cec37c0335bc2bb5b6082196e388",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_golden_output_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectenna import (
     RcFilter,
@@ -62,7 +64,15 @@ def test_sweep_two_point_case():
 
 @pytest.mark.parametrize(
     "cutoff_min,cutoff_max,n_points",
-    [(0.0, 1e9, 10), (1e9, 1e8, 10), (1e8, 1e9, 1), (-1e8, 1e9, 5)],
+    [
+        (0.0, 1e9, 10),
+        (1e9, 1e8, 10),
+        (1e8, 1e9, 1),
+        (-1e8, 1e9, 5),
+        (math.nan, 1e9, 5),
+        (1e8, math.nan, 5),
+        (1e8, math.inf, 5),
+    ],
 )
 def test_sweep_rejects_bad_ranges(cutoff_min, cutoff_max, n_points):
     with pytest.raises(ValueError):
@@ -132,6 +142,18 @@ def test_optimize_rejects_bad_arguments():
         optimize_capacitance(FULL, RL, 1.0, FC, 0.0)
     with pytest.raises(ValueError):
         optimize_capacitance(FULL, RL, 1.0, FC, 0.1, ripple_metric="rms")
+    with pytest.raises(ValueError):  # below what tau <= 1e3 s can reach
+        optimize_capacitance(FULL, RL, 1.0, FC, 1e-300, samples=1024)
+
+
+@settings(max_examples=60, deadline=None)
+@given(budget=st.floats(allow_nan=True, allow_infinity=True))
+def test_optimize_rejects_or_returns_finite_design(budget):
+    try:
+        res = optimize_capacitance(FULL, RL, 1.0, FC, budget, samples=1024)
+    except ValueError:
+        return
+    assert all(math.isfinite(v) for v in (res.capacitance, res.tau, res.v_dc, res.ripple))
 
 
 def grid_one_period(n=4096):

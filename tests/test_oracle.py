@@ -158,3 +158,11 @@ def test_sample_stats_unfiltered_output_extrema():
     peak = 2.0 * math.sqrt(2.0)
     assert stats.max == pytest.approx(peak, abs=4.0 / (math.pi * 256) * peak)
     assert stats.mean == pytest.approx(4.0 * math.sqrt(2.0) / math.pi, rel=1e-9)
+
+
+def test_sample_stats_refinement_stops_far_from_zero():
+    # near t = 1e6 s adjacent floats are 1.2e-10 s apart, coarser than the
+    # 1e-12 s resolution; the golden-section search must still stop
+    stats = sample_stats(lambda t: np.cos(2 * np.pi * (t / 1e6 - 0.7)), 1e6, 64)
+    assert stats.max == pytest.approx(1.0, abs=1e-12)
+    assert abs(stats.argmax_t - 0.7e6) < 1.0

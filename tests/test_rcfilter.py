@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectenna import (
@@ -17,6 +17,8 @@ from rectenna import (
     eval_series,
     filtered_series,
     max_ripple,
+    period_extrema,
+    period_samples,
     ripple_peak,
     sample_stats,
     transfer,
@@ -260,3 +262,109 @@ def test_sampled_peak_matches_ripple_peak_at_zero_tau():
     stats = sample_stats(lambda t: eval_filtered(fs, t), 1.0 / FC, 2 ** 14)
     peak = ripple_peak(FULL, filt, 1.0, FC, 256)
     assert stats.max == pytest.approx(peak, rel=1e-9)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(resistance=ANY_FLOAT, capacitance=ANY_FLOAT)
+def test_rc_filter_rejects_or_holds_finite_parameters(resistance, capacitance):
+    try:
+        filt = RcFilter(resistance, capacitance)
+    except ValueError:
+        return
+    assert math.isfinite(filt.resistance) and filt.resistance > 0
+    assert math.isfinite(filt.capacitance) and filt.capacitance >= 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(resistance=ANY_FLOAT, cutoff=ANY_FLOAT)
+def test_from_cutoff_rejects_or_gives_finite_capacitance(resistance, cutoff):
+    try:
+        filt = RcFilter.from_cutoff(resistance, cutoff)
+    except ValueError:
+        return
+    assert math.isfinite(filt.capacitance) and filt.capacitance >= 0
+    if cutoff == math.inf:
+        assert filt.capacitance == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rc_filter_rejects_non_finite_values(value):
+    with pytest.raises(ValueError):
+        RcFilter(value, 1e-12)
+    with pytest.raises(ValueError):
+        RcFilter(2.0, value)
+    if value != math.inf:  # +inf is the documented C = 0 cut-off
+        with pytest.raises(ValueError):
+            RcFilter.from_cutoff(2.0, value)
+
+
+KINDS = st.sampled_from([FULL, HALF])
+CUTOFFS = st.one_of(st.just(math.inf), st.floats(min_value=1e7, max_value=1e12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=KINDS,
+    truncation=st.integers(1, 300),
+    cutoff=CUTOFFS,
+    fc=st.floats(min_value=1e6, max_value=1e10),
+    n=st.integers(2, 1200),
+)
+@example(kind=FULL, truncation=256, cutoff=1e9, fc=FC, n=512)  # n = 2K
+@example(kind=HALF, truncation=256, cutoff=1e9, fc=FC, n=511)  # odd, below 2K
+@example(kind=HALF, truncation=300, cutoff=math.inf, fc=FC, n=2)
+def test_period_samples_match_direct_evaluation(kind, truncation, cutoff, fc, n):
+    filt = RcFilter.from_cutoff(2.0, cutoff)
+    fs = output_series(kind, filt, 1.0, fc, truncation)
+    direct = eval_filtered(fs, np.arange(n) * ((1.0 / fc) / n))
+    fast = period_samples(fs, n)
+    assert fast.shape == (n,)
+    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_period_samples_need_two_samples():
+    fs = output_series(FULL, RcFilter(2.0, 0.0), 1.0, FC)
+    with pytest.raises(ValueError):
+        period_samples(fs, 1)
+
+
+# 13.56 MHz: a 4096-sample grid is coarser than 1e-12 s, so the maximum is
+# sharpened; 915 MHz: it is finer, so the grid maximum stands
+@pytest.mark.parametrize("fc", [13.56e6, 915e6])
+@pytest.mark.parametrize("kind", [FULL, HALF])
+@pytest.mark.parametrize("ratio", [math.inf, 1e4, 300.0, 10.0, 1.0])
+def test_period_extrema_match_oracle_sampler(fc, kind, ratio):
+    filt = RcFilter.from_cutoff(2.0, ratio * fc)
+    fs = output_series(kind, filt, 1.0, fc)
+    stats = sample_stats(lambda t: eval_filtered(fs, t), 1.0 / fc, 4096)
+    vmax, vmin = period_extrema(fs, 4096)
+    assert vmax - vmin == pytest.approx(stats.peak_to_peak, rel=1e-12)
+    assert vmax == pytest.approx(stats.max, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=KINDS,
+    truncation=st.integers(1, 600),
+    cutoff=CUTOFFS,
+    fc=st.floats(min_value=1e5, max_value=1e11),
+    t=st.floats(min_value=-1e3, max_value=1e3),
+)
+def test_scalar_evaluation_is_bitwise_the_array_path(kind, truncation, cutoff, fc, t):
+    fs = output_series(kind, RcFilter.from_cutoff(2.0, cutoff), 1.5, fc, truncation)
+    scalar = eval_filtered(fs, t)
+    assert isinstance(scalar, float)
+    assert scalar == eval_filtered(fs, np.array([t]))[0]
+
+
+@pytest.mark.parametrize("cutoff", [1e8, 1e9])
+def test_analytic_ripple_reads_below_sampled_peak(cutoff):
+    # the direction the ripple_peak docstring and the README state
+    filt = RcFilter.from_cutoff(2.0, cutoff)
+    fs = output_series(FULL, filt, 1.0, FC)
+    dc = dc_voltage(FULL, filt, 1.0, FC)
+    vmax, _ = period_extrema(fs, 4096)
+    assert ripple_peak(FULL, filt, 1.0, FC, 256) - dc < vmax - dc

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rectenna import (
     RectifierKind,
     build_series,
+    coefficients,
     eval_series,
     fourier_coefficient,
     multisine_a0,
@@ -192,3 +193,10 @@ def test_doubling_property(k):
     if k == 1:
         return
     assert fourier_coefficient(FULL, k) == 2.0 * fourier_coefficient(HALF, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from([FULL, HALF]), truncation=st.integers(1, 2000))
+def test_coefficients_bitwise_equal_scalar_rule(kind, truncation):
+    expected = np.array([fourier_coefficient(kind, k) for k in range(1, truncation + 1)])
+    assert coefficients(kind, truncation).tobytes() == expected.tobytes()
