@@ -7,6 +7,8 @@ floats, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -71,12 +73,15 @@ def _json_value(value):
 
 
 def _emit(header: list[str], rows: list[list], config: RunConfig) -> None:
-    # finite inputs can still overflow (fc or rl near the float maximum)
-    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+    # finite inputs can still overflow (fc or rl near the float maximum);
+    # every cell is a number (int, bool or float), so isfinite takes them all
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
         raise ValueError("result is not finite; an input is out of range")
     if config.output_format == "csv":
         lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [
+            ",".join(f"{v:.9g}" if type(v) is float else _fmt(v) for v in row) for row in rows
+        ]
         text = "\n".join(lines) + "\n"
     else:
         records = [{name: _json_value(v) for name, v in zip(header, row)} for row in rows]
@@ -390,8 +395,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building costs ~1 ms (one HelpFormatter per argument); parsing reuses it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     config = RunConfig(
         command=args.command,
         kind=_KINDS[args.kind],

@@ -7,14 +7,16 @@ and every harmonic amplitude depend on the same time constant: small tau means
 more DC and more ripple, large tau kills both.
 
 The design layer samples the output on a uniform grid over one carrier period
-many times; :func:`period_samples` does that with one inverse FFT, and
-:func:`eval_filtered` stays the direct cosine sum for arbitrary times.
+many times; :func:`period_samples` does that with one inverse FFT.
+:func:`eval_filtered` serves arbitrary times: it evaluates the series as a
+polynomial in the phasor ``exp(j 2 pi fc t)`` by Horner's rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +27,9 @@ from .rectifier import (
     RectifierKind,
     coefficients,
     fourier_coefficient,
+    harmonic_sum,
+    horner_coefficients,
+    require_finite_positive,
 )
 
 __all__ = [
@@ -44,12 +49,6 @@ __all__ = [
 ]
 
 
-def require_finite_positive(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` is finite and > 0 (NaN fails too)."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-
 @dataclass(frozen=True)
 class RcFilter:
     """Load resistance (ohm) and smoothing capacitance (F), C = 0 allowed."""
@@ -59,8 +58,7 @@ class RcFilter:
 
     def __post_init__(self):
         require_finite_positive("resistance", self.resistance)
-        if not (math.isfinite(self.capacitance) and self.capacitance >= 0):
-            raise ValueError(f"capacitance must be finite and >= 0, got {self.capacitance}")
+        require_finite_positive("capacitance", self.capacitance, allow_zero=True)
 
     @property
     def tau(self) -> float:
@@ -93,7 +91,8 @@ def amplification_factor(filt: RcFilter, fc: float) -> float:
 
     Tends to ``sqrt(R)`` as tau -> 0 and to 0 as tau -> inf.
     """
-    w = 2.0 * math.pi * fc * filt.tau
+    # tau = 0 gets its exact value: 2 pi fc may overflow, and inf * 0 is nan
+    w = 2.0 * math.pi * fc * filt.tau if filt.tau else 0.0
     return math.sqrt(filt.resistance / (1.0 + w * w))
 
 
@@ -102,7 +101,7 @@ def transfer(filt: RcFilter, f: float) -> tuple[float, float]:
 
     Returns ``(R / sqrt(1 + (2 pi f tau)^2), atan(-2 pi f tau))``.
     """
-    wt = 2.0 * math.pi * f * filt.tau
+    wt = 2.0 * math.pi * f * filt.tau if filt.tau else 0.0  # as in amplification_factor
     return filt.resistance / math.sqrt(1.0 + wt * wt), math.atan(-wt)
 
 
@@ -124,13 +123,26 @@ class FilteredSeries:
         """DC term ``scale * a0 * R / 2`` of the filtered output."""
         return self.base.scale * self.base.a0 * self.filt.resistance / 2.0
 
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """Complex harmonic amplitudes ``a_k |H(k fc)| exp(j angle H(k fc))``."""
+        amps = (self.gains * self.base.ak) * np.exp(1j * self.phase_shifts)
+        amps.setflags(write=False)
+        return amps
+
+    @cached_property
+    def horner(self) -> tuple[list, list]:
+        """:func:`rectenna.rectifier.horner_coefficients` of :attr:`amplitudes`."""
+        return horner_coefficients(self.amplitudes)
+
 
 def filtered_series(series: FourierSeries, filt: RcFilter) -> FilteredSeries:
     """Attach ``|H(k fc)|`` and ``angle H(k fc)`` for k = 1..K."""
     if series.fundamental_fc <= 0:
         raise ValueError("series fundamental frequency must be > 0")
     ks = np.arange(1, series.truncation + 1, dtype=float)
-    wt = 2.0 * np.pi * ks * series.fundamental_fc * filt.tau
+    # exact tau = 0 values (gains R, phases atan(-0.0)) even where 2 pi k fc overflows
+    wt = 2.0 * np.pi * ks * series.fundamental_fc * filt.tau if filt.tau else np.zeros_like(ks)
     gains = filt.resistance / np.sqrt(1.0 + wt * wt)
     phase_shifts = np.arctan(-wt)
     gains.setflags(write=False)
@@ -143,25 +155,15 @@ def eval_filtered(fs: FilteredSeries, t):
 
     ``scale * (a0 R / 2 + sum_k |H(k fc)| a_k cos(2 pi k fc t + angle H(k fc)))``
     (the per-harmonic sign of ``a_k`` absorbs the 0/pi rectifier phase).
-    A scalar t returns a float, bitwise equal to the array path's element.
+    The sum is ``Re sum_k c_k z^k`` in the phasor ``z = exp(j 2 pi fc t)``,
+    with ``c_k`` = :attr:`FilteredSeries.amplitudes`, evaluated by Horner's
+    rule (:func:`rectenna.rectifier.harmonic_sum`): one cos/sin pair per
+    time, not one cos per harmonic.  A scalar t returns a float, bitwise
+    equal to the array path's element.
     """
     base = fs.base
-    w = 2.0 * np.pi * base.fundamental_fc
     dc = 0.5 * base.a0 * fs.filt.resistance
-    if np.ndim(t) == 0:
-        # one vectorized cos; cumsum adds in harmonic order, as the loop does
-        nz = np.flatnonzero(base.ak)
-        terms = (fs.gains[nz] * base.ak[nz]) * np.cos(
-            (w * (nz + 1)) * float(t) + fs.phase_shifts[nz]
-        )
-        return float(base.scale * np.cumsum(np.concatenate(([dc], terms)))[-1])
-    tt = np.asarray(t, dtype=float)
-    acc = np.full(tt.shape, dc)
-    for k in range(1, base.truncation + 1):
-        a = base.ak[k - 1]
-        if a != 0.0:
-            acc += (fs.gains[k - 1] * a) * np.cos((w * k) * tt + fs.phase_shifts[k - 1])
-    return base.scale * acc
+    return base.scale * (dc + harmonic_sum(fs.horner, base.fundamental_fc, t))
 
 
 def period_samples(fs: FilteredSeries, n: int) -> np.ndarray:
@@ -174,7 +176,7 @@ def period_samples(fs: FilteredSeries, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     base = fs.base
-    amps = (fs.gains * base.ak) * np.exp(1j * fs.phase_shifts)
+    amps = fs.amplitudes
     bins = np.arange(1, base.truncation + 1) % n
     spectrum = np.bincount(bins, weights=amps.real, minlength=n) + 1j * np.bincount(
         bins, weights=amps.imag, minlength=n
@@ -223,10 +225,11 @@ def ripple_peak(
     delta = amplification_factor(filt, fc)
     ks = np.arange(1, truncation + 1, dtype=float)
     ak = coefficients(kind, truncation)
-    atten = np.sqrt(1.0 + (2.0 * np.pi * ks * fc * filt.tau) ** 2)
-    harmonic_sum = float(np.sum(ak / atten))
+    wt = 2.0 * np.pi * ks * fc * filt.tau if filt.tau else np.zeros_like(ks)
+    atten = np.sqrt(1.0 + wt**2)
+    harmonics = float(np.sum(ak / atten))
     a0 = fourier_coefficient(kind, 0)
-    return delta * amplitude * filt.resistance * (0.5 * a0 + harmonic_sum)
+    return delta * amplitude * filt.resistance * (0.5 * a0 + harmonics)
 
 
 def max_ripple(

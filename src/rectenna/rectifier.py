@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +29,11 @@ __all__ = [
     "fourier_coefficient",
     "coefficients",
     "build_series",
+    "horner_coefficients",
+    "harmonic_sum",
     "eval_series",
     "multisine_a0",
+    "require_finite_positive",
     "DEFAULT_TRUNCATION",
 ]
 
@@ -37,6 +41,17 @@ DEFAULT_TRUNCATION = 256
 
 # cos(pi k / 2) by k mod 4, exact.
 _COS_HALF_PI = (1, 0, -1, 0)
+
+
+def require_finite_positive(name: str, value: float, *, allow_zero: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and > 0 (NaN fails too).
+
+    ``allow_zero`` admits 0 as well, for quantities whose zero is a valid
+    limit (no capacitor, zero tone spacing).
+    """
+    if not (math.isfinite(value) and (value > 0 or (allow_zero and value == 0))):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
 class RectifierKind(enum.Enum):
@@ -113,6 +128,11 @@ class FourierSeries:
         """Per-harmonic phases: 0 where ``a_k >= 0``, pi where ``a_k < 0``."""
         return np.where(self.ak < 0, np.pi, 0.0)
 
+    @cached_property
+    def horner(self) -> tuple[list, list]:
+        """:func:`horner_coefficients` of ``ak``: the unit-filter amplitudes."""
+        return horner_coefficients(self.ak)
+
 
 def build_series(
     kind: RectifierKind,
@@ -133,16 +153,62 @@ def build_series(
     )
 
 
+def horner_coefficients(amplitudes) -> tuple[list, list]:
+    """Horner coefficients for ``Re sum_k c_k z^k``, k = 1..K.
+
+    ``amplitudes[i]`` is the complex ``c_k`` of harmonic ``k = i + 1``.  The
+    sum splits by parity as ``z^2 P(z^2) + z Q(z^2)``, with P holding
+    ``c_2, c_4, ...`` and Q holding ``c_1, c_3, ...``.  Returns P and Q as
+    lists of ``(real, imag)`` Python floats, highest degree first, with
+    trailing zero coefficients dropped: the rectifier's odd ``k >= 3`` are
+    exactly zero, so Q keeps at most ``c_1``.
+    """
+    amps = np.asarray(amplitudes, dtype=complex)
+    polys = []
+    for poly in (amps[1::2], amps[0::2]):
+        nonzero = np.flatnonzero(poly)
+        poly = poly[: nonzero[-1] + 1 if nonzero.size else 0][::-1]
+        polys.append(list(zip(poly.real.tolist(), poly.imag.tolist())))
+    return polys[0], polys[1]
+
+
+def _horner(poly: list, wr, wi):
+    """``poly(w)`` by Horner's rule, with explicit real operations."""
+    ar = ai = 0.0
+    for br, bi in poly:
+        ar, ai = ar * wr - ai * wi + br, ar * wi + ai * wr + bi
+    return ar, ai
+
+
+def harmonic_sum(horner: tuple[list, list], fc: float, t):
+    """``Re sum_k c_k exp(j 2 pi k fc t)`` at time(s) t, c_k as in :func:`horner_coefficients`.
+
+    One cos/sin pair per time, then K/2 complex multiply-adds by Horner's
+    rule.  Every step is written as separate real operations, so a scalar t
+    (Python floats, returning a float) and an array t (one ufunc per
+    operation) round identically; numpy's complex multiply may fuse them
+    and would not.
+    """
+    w = 2.0 * np.pi * fc
+    if np.ndim(t) == 0:
+        theta = w * float(t)
+        c, s = float(np.cos(theta)), float(np.sin(theta))
+    else:
+        theta = w * np.asarray(t, dtype=float)
+        c, s = np.cos(theta), np.sin(theta)
+    wr, wi = c * c - s * s, 2.0 * c * s  # z^2
+    p_re, p_im = _horner(horner[0], wr, wi)
+    q_re, q_im = _horner(horner[1], wr, wi)
+    return (p_re * wr - p_im * wi) + (q_re * c - q_im * s)  # Re(z^2 P + z Q)
+
+
 def eval_series(series: FourierSeries, t):
-    """Evaluate ``scale * (a0/2 + sum_k a_k cos(2 pi k fc t))`` at time(s) t."""
-    tt = np.asarray(t, dtype=float)
-    w = 2.0 * np.pi * series.fundamental_fc
-    acc = np.full(tt.shape, 0.5 * series.a0)
-    for k, a in enumerate(series.ak, start=1):
-        if a != 0.0:
-            acc += a * np.cos((w * k) * tt)
-    out = series.scale * acc
-    return float(out) if np.ndim(t) == 0 else out
+    """Evaluate ``scale * (a0/2 + sum_k a_k cos(2 pi k fc t))`` at time(s) t.
+
+    The unit-filter case of :func:`rectenna.rcfilter.eval_filtered`: the same
+    Horner kernel (:func:`harmonic_sum`) with real coefficients ``a_k``.
+    """
+    return series.scale * (0.5 * series.a0 + harmonic_sum(series.horner, series.fundamental_fc, t))
 
 
 def multisine_a0(kind: RectifierKind, fc: float, df: float) -> float:
@@ -151,16 +217,16 @@ def multisine_a0(kind: RectifierKind, fc: float, df: float) -> float:
     Tones at ``fc +- df/2``; the coefficient is normalized per tone so that
     ``df -> 0`` recovers the single-tone ``a0`` (4/pi or 2/pi).  Valid for
     ``0 <= df < 2 fc``; beyond that the rectifier conduction pattern changes
-    and the expression loses meaning.
+    and the expression loses meaning.  Written in ``r = df / fc``, so no
+    finite ``fc`` overflows it.
     """
-    if fc <= 0:
-        raise ValueError(f"fc must be > 0, got {fc}")
-    if df < 0:
-        raise ValueError(f"df must be >= 0, got {df}")
+    require_finite_positive("fc", fc)
+    require_finite_positive("df", df, allow_zero=True)
     if df >= 2.0 * fc:
         raise ValueError(f"df must be < 2*fc ({df} >= {2.0 * fc})")
-    e = 0.25 * math.pi * df / fc
-    denom = math.pi * (4.0 * fc * fc - df * df)
+    r = df / fc
+    e = 0.25 * math.pi * r
+    denom = math.pi * (4.0 - r * r)
     if kind is RectifierKind.HALF_WAVE:
-        return 8.0 * fc * fc * math.cos(e) / denom
-    return 8.0 * fc * (2.0 * fc - df * math.sin(e)) * math.cos(e) / denom
+        return 8.0 * math.cos(e) / denom
+    return 8.0 * (2.0 - r * math.sin(e)) * math.cos(e) / denom

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rectifier import require_finite_positive
+
 __all__ = [
     "ToneSpec",
     "MultisineSpec",
@@ -33,10 +35,8 @@ class ToneSpec:
     carrier_fc: float
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
-        if self.carrier_fc <= 0:
-            raise ValueError(f"carrier_fc must be > 0, got {self.carrier_fc}")
+        require_finite_positive("amplitude", self.amplitude)
+        require_finite_positive("carrier_fc", self.carrier_fc)
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,11 @@ class MultisineSpec:
     tone_spacing: float
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
+        require_finite_positive("amplitude", self.amplitude)
+        require_finite_positive("carrier_fc", self.carrier_fc)
         if self.tone_count < 1:
             raise ValueError(f"tone_count must be >= 1, got {self.tone_count}")
-        if self.tone_spacing < 0:
-            raise ValueError(f"tone_spacing must be >= 0, got {self.tone_spacing}")
+        require_finite_positive("tone_spacing", self.tone_spacing, allow_zero=True)
         if self.carrier_fc <= self.tone_count * self.tone_spacing:
             raise ValueError(
                 "carrier_fc must exceed tone_count * tone_spacing "

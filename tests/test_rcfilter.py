@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +202,26 @@ def test_ripple_peak_zero_tau_equals_max_ripple_bitwise():
     assert ripple_peak(HALF, filt, 1.0, FC, 256) == max_ripple(HALF, 1.0, 2.0, 256)
 
 
+@pytest.mark.parametrize("kind", [FULL, HALF])
+def test_zero_tau_survives_carrier_overflow(kind):
+    # 2 pi fc overflows to inf; tau = 0 must give its exact values, not inf * 0 = nan
+    filt = RcFilter(2.0, 0.0)
+    assert ripple_peak(kind, filt, 1.3, 1.7e308) == max_ripple(kind, 1.3, 2.0)
+    assert amplification_factor(filt, 1.7e308) == math.sqrt(2.0)
+    assert transfer(filt, 1.7e308) == (2.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from([FULL, HALF]),
+    truncation=st.integers(1, 600),
+    fc=st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True),
+)
+def test_filtered_series_at_zero_tau_is_finite_for_any_carrier(kind, truncation, fc):
+    fs = filtered_series(build_series(kind, truncation, fc=fc), RcFilter(2.0, 0.0))
+    assert np.all(np.isfinite(fs.gains)) and np.all(np.isfinite(fs.phase_shifts))
+
+
 def test_ripple_peak_tends_to_dc_voltage_for_large_tau():
     filt = RcFilter(2.0, 1e-3)
     assert ripple_peak(FULL, filt, 1.0, FC, 256) == pytest.approx(
@@ -368,3 +389,37 @@ def test_analytic_ripple_reads_below_sampled_peak(cutoff):
     dc = dc_voltage(FULL, filt, 1.0, FC)
     vmax, _ = period_extrema(fs, 4096)
     assert ripple_peak(FULL, filt, 1.0, FC, 256) - dc < vmax - dc
+
+
+LONG = np.longdouble
+TWO_PI_LONG = 8 * np.arctan(LONG(1))
+
+
+def long_double_output(fs, ts):
+    """The cosine sum in long double, phase ``fc t`` reduced mod 1, one term at a time."""
+    base = fs.base
+    amps = (fs.gains * base.ak).astype(LONG)
+    phases = fs.phase_shifts.astype(LONG)
+    u = LONG(base.fundamental_fc) * ts.astype(LONG)
+    u -= np.floor(u)
+    acc = np.full(ts.shape, LONG(0.5) * LONG(base.a0) * LONG(fs.filt.resistance))
+    for i in np.flatnonzero(base.ak):
+        acc += amps[i] * np.cos(TWO_PI_LONG * (((i + 1) * u) % 1) + phases[i])
+    return LONG(base.scale) * acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=KINDS,
+    truncation=st.integers(1, 600),
+    cutoff=CUTOFFS,
+    fc=st.floats(min_value=1e5, max_value=1e11),
+    periods=st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=16),
+)
+@example(kind=HALF, truncation=600, cutoff=math.inf, fc=1e11, periods=[-99.9, 0.0, 0.25, 99.99])
+def test_eval_filtered_matches_long_double_cosine_sum(kind, truncation, cutoff, fc, periods):
+    fs = output_series(kind, RcFilter.from_cutoff(2.0, cutoff), 1.5, fc, truncation)
+    ts = np.array(periods) / fc
+    err = np.abs(eval_filtered(fs, ts) - long_double_output(fs, ts)).astype(float)
+    norm = abs(fs.dc_level) + fs.base.scale * float(np.sum(np.abs(fs.gains * fs.base.ak)))
+    assert np.max(err) <= 1e-12 * norm

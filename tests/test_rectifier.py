@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectenna import (
@@ -185,6 +185,23 @@ def test_multisine_a0_monotone_decreasing_up_to_carrier():
 def test_multisine_a0_domain_errors(fc, df):
     with pytest.raises(ValueError):
         multisine_a0(HALF, fc, df)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from([FULL, HALF]),
+    fc=st.floats(allow_nan=True, allow_infinity=True),
+    df=st.floats(allow_nan=True, allow_infinity=True),
+)
+@example(kind=HALF, fc=915e6, df=math.nan)
+@example(kind=FULL, fc=math.inf, df=1e6)
+@example(kind=FULL, fc=1e300, df=1e300)  # 4 fc^2 overflows
+def test_multisine_a0_rejects_or_is_finite(kind, fc, df):
+    try:
+        a0 = multisine_a0(kind, fc, df)
+    except ValueError:
+        return
+    assert math.isfinite(a0)
 
 
 @settings(max_examples=60, deadline=None)

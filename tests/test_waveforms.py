@@ -38,6 +38,29 @@ def test_multisine_spec_rejects_bad_parameters(kwargs):
         MultisineSpec(**kwargs)
 
 
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitude=ANY_FLOAT, fc=ANY_FLOAT)
+def test_tone_spec_rejects_or_holds_finite_parameters(amplitude, fc):
+    try:
+        spec = ToneSpec(amplitude, fc)
+    except ValueError:
+        return
+    assert math.isfinite(spec.amplitude) and math.isfinite(spec.carrier_fc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitude=ANY_FLOAT, fc=ANY_FLOAT, tone_count=st.integers(0, 8), spacing=ANY_FLOAT)
+def test_multisine_spec_rejects_or_holds_finite_parameters(amplitude, fc, tone_count, spacing):
+    try:
+        spec = MultisineSpec(amplitude, fc, tone_count, spacing)
+    except ValueError:
+        return
+    assert all(map(math.isfinite, (spec.amplitude, spec.carrier_fc, spec.tone_spacing)))
+
+
 def test_sinewave_values():
     spec = ToneSpec(1.0, 915e6)
     assert eval_sinewave(spec, 0.0) == 1.0
