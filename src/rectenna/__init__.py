@@ -12,6 +12,7 @@ from .design import (
     DesignResult,
     SweepRow,
     analytic_ripple,
+    make_grid,
     optimize_capacitance,
     rectified_reference,
     sampled_ripple,
@@ -84,6 +85,7 @@ __all__ = [
     "eval_sinewave",
     "filtered_series",
     "fourier_coefficient",
+    "make_grid",
     "max_ripple",
     "multisine_a0",
     "optimize_capacitance",

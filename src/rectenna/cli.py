@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .design import optimize_capacitance, sweep_cutoff, time_trace
+from .design import make_grid, optimize_capacitance, sweep_cutoff, time_trace
 from .rcfilter import (
     RcFilter,
     amplification_factor,
@@ -107,16 +107,6 @@ def _parse_range(text: str) -> tuple[float, float, int, str]:
     return lo, hi, points, spacing
 
 
-def _grid(lo: float, hi: float, points: int, spacing: str) -> np.ndarray:
-    if not lo < hi or points < 2:
-        raise ValueError(f"invalid range {lo}:{hi}:{points}")
-    if spacing == "log":
-        if lo <= 0:
-            raise ValueError("log spacing requires positive bounds")
-        return np.geomspace(lo, hi, points)
-    return np.linspace(lo, hi, points)
-
-
 def _filter_from_args(args, resistance: float) -> RcFilter:
     if args.cap is not None:
         return RcFilter(resistance, args.cap)
@@ -141,7 +131,7 @@ def _cmd_coeffs(args, config: RunConfig) -> int:
 def _cmd_multisine_a0(args, config: RunConfig) -> int:
     if ":" in args.df:
         lo, hi, points, spacing = _parse_range(args.df)
-        dfs = _grid(lo, hi, points, spacing)
+        dfs = make_grid(lo, hi, points, spacing)
     else:
         dfs = np.array([float(args.df)])
     rows = []
@@ -162,15 +152,7 @@ def _cmd_trace(args, config: RunConfig) -> int:
         ts = np.linspace(lo, hi, points)
     else:
         ts = np.arange(1024) * (2.0 / config.fc / 1024)
-    pairs = time_trace(
-        config.kind,
-        config.resistance,
-        config.amplitude,
-        config.fc,
-        filt.cutoff,
-        ts,
-        config.truncation,
-    )
+    pairs = time_trace(config.kind, filt, config.amplitude, config.fc, ts, config.truncation)
     _emit(["t_s", "v_o_v"], [list(p) for p in pairs], config)
     return 0
 

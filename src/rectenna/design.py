@@ -13,16 +13,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rcfilter import (
+    FilteredSeries,
     RcFilter,
+    aligned_peaks,
     amplification_factor,
     dc_voltage,
     eval_filtered,
+    filter_response,
     filtered_series,
+    grid_extrema,
+    harmonic_amplitudes,
     period_extrema,
     require_finite_positive,
     ripple_peak,
 )
-from .rectifier import DEFAULT_TRUNCATION, RectifierKind, build_series, rectify
+from .rectifier import (
+    DEFAULT_TRUNCATION,
+    RectifierKind,
+    build_series,
+    coefficients,
+    fourier_coefficient,
+    rectify,
+)
 
 __all__ = [
     "SweepRow",
@@ -30,6 +42,7 @@ __all__ = [
     "RIPPLE_METRICS",
     "sampled_ripple",
     "analytic_ripple",
+    "make_grid",
     "sweep_cutoff",
     "optimize_capacitance",
     "time_trace",
@@ -39,6 +52,10 @@ __all__ = [
 RIPPLE_METRICS = ("sampled_ptp", "analytic")
 
 DEFAULT_SAMPLES = 4096
+
+# cut-offs per filter matrix and inverse FFT in sweep_cutoff: a block shares
+# the fixed numpy cost per call, and each row adds ~0.2 MB at 4096 samples
+_SWEEP_BLOCK = 8
 
 # log-tau bisection bracket (seconds); the upper end grows if ever needed
 _TAU_LO = 1e-15
@@ -103,6 +120,25 @@ def analytic_ripple(
     )
 
 
+def make_grid(lo: float, hi: float, points: int, spacing: str = "linear") -> np.ndarray:
+    """``points`` values from ``lo`` to ``hi``, equally spaced or (``"log"``) in ratio.
+
+    Raises ``ValueError`` unless the bounds are finite with ``lo < hi``,
+    ``points >= 2``, and ``lo > 0`` for log spacing.
+    """
+    if spacing not in ("linear", "log"):
+        raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite bounds lo < hi, got {lo}, {hi}")
+    if points < 2:
+        raise ValueError(f"need at least 2 points, got {points}")
+    if spacing == "linear":
+        return np.linspace(lo, hi, points)
+    if lo <= 0:
+        raise ValueError(f"log spacing needs positive bounds, got {lo}")
+    return np.geomspace(lo, hi, points)
+
+
 def sweep_cutoff(
     kind: RectifierKind,
     resistance: float,
@@ -115,30 +151,51 @@ def sweep_cutoff(
     truncation: int = DEFAULT_TRUNCATION,
     samples: int = DEFAULT_SAMPLES,
 ) -> list[SweepRow]:
-    """Tabulate DC voltage and ripple on a cut-off frequency grid."""
+    """Tabulate DC voltage and ripple on a cut-off frequency grid.
+
+    Each row is bitwise what :func:`dc_voltage`, :func:`analytic_ripple` and
+    :func:`sampled_ripple` give at its cut-off, but the grid is evaluated in
+    blocks of cut-offs: one filter matrix and one inverse FFT per block.
+    """
     require_finite_positive("cutoff_min", cutoff_min)
     require_finite_positive("cutoff_max", cutoff_max)
-    if not cutoff_min < cutoff_max:
-        raise ValueError(f"need 0 < cutoff_min < cutoff_max, got {cutoff_min}, {cutoff_max}")
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    if spacing == "linear":
-        grid = np.linspace(cutoff_min, cutoff_max, n_points)
-    elif spacing == "log":
-        grid = np.geomspace(cutoff_min, cutoff_max, n_points)
-    else:
-        raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    cutoffs = make_grid(cutoff_min, cutoff_max, n_points, spacing).tolist()
+    filters = [RcFilter.from_cutoff(resistance, cutoff) for cutoff in cutoffs]
     rows = []
-    for cutoff in grid:
-        filt = RcFilter.from_cutoff(resistance, float(cutoff))
+    for start in range(0, len(cutoffs), _SWEEP_BLOCK):
+        block = slice(start, start + _SWEEP_BLOCK)
+        rows += _sweep_block(
+            kind, cutoffs[block], filters[block], amplitude, fc, truncation, samples
+        )
+    return rows
+
+
+def _sweep_block(kind, cutoffs, filters, amplitude, fc, truncation, samples) -> list[SweepRow]:
+    resistance = filters[0].resistance
+    scales = [amplification_factor(filt, fc) * amplitude for filt in filters]
+    atten, gains, phases = filter_response(
+        resistance, fc, [filt.tau for filt in filters], truncation
+    )
+    peaks = aligned_peaks(kind, scales, resistance, atten).tolist()
+
+    def row_series(r: int) -> FilteredSeries:
+        base = build_series(kind, truncation, scale=scales[r], fc=fc)
+        return FilteredSeries(base=base, filt=filters[r], gains=gains[r], phase_shifts=phases[r])
+
+    amps = harmonic_amplitudes(coefficients(kind, truncation), gains, phases)
+    dc = 0.5 * fourier_coefficient(kind, 0) * resistance
+    vmaxs, vmins = grid_extrema(amps, scales, dc, fc, samples, row_series)
+    rows = []
+    for cutoff, filt, peak, vmax, vmin in zip(cutoffs, filters, peaks, vmaxs, vmins):
+        v_dc = dc_voltage(kind, filt, amplitude, fc)
         rows.append(
             SweepRow(
-                cutoff=float(cutoff),
+                cutoff=cutoff,
                 tau=filt.tau,
                 capacitance=filt.capacitance,
-                v_dc=dc_voltage(kind, filt, amplitude, fc),
-                ripple_analytic=analytic_ripple(kind, filt, amplitude, fc, truncation),
-                ripple_sampled=sampled_ripple(kind, filt, amplitude, fc, truncation, samples),
+                v_dc=v_dc,
+                ripple_analytic=peak - v_dc,
+                ripple_sampled=vmax - vmin,
             )
         )
     return rows
@@ -210,10 +267,9 @@ def optimize_capacitance(
 
 def time_trace(
     kind: RectifierKind,
-    resistance: float,
+    filt: RcFilter,
     amplitude: float,
     fc: float,
-    cutoff: float,
     t_grid,
     truncation: int = DEFAULT_TRUNCATION,
 ) -> list[tuple[float, float]]:
@@ -221,7 +277,6 @@ def time_trace(
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D array of times")
-    filt = RcFilter.from_cutoff(resistance, cutoff)
     fs = _output_series(kind, filt, amplitude, fc, truncation)
     values = eval_filtered(fs, ts)
     return list(zip(ts.tolist(), values.tolist()))

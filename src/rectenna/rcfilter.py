@@ -7,16 +7,20 @@ and every harmonic amplitude depend on the same time constant: small tau means
 more DC and more ripple, large tau kills both.
 
 The design layer samples the output on a uniform grid over one carrier period
-many times; :func:`period_samples` does that with one inverse FFT.
-:func:`eval_filtered` serves arbitrary times: it evaluates the series as a
-polynomial in the phasor ``exp(j 2 pi fc t)`` by Horner's rule.
+many times.  :func:`period_grid` does that for a block of time constants at
+once: one ``(m, K)`` filter matrix from :func:`filter_response`, one ``(m, n)``
+spectrum and one inverse FFT along its rows; :func:`period_samples` and
+:func:`period_extrema` are its one-row case.  :func:`eval_filtered` serves
+arbitrary times: it evaluates the series as a polynomial in the phasor
+``exp(j 2 pi fc t)`` by Horner's rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -37,11 +41,16 @@ __all__ = [
     "FilteredSeries",
     "amplification_factor",
     "transfer",
+    "filter_response",
     "filtered_series",
+    "harmonic_amplitudes",
     "eval_filtered",
+    "period_grid",
+    "grid_extrema",
     "period_samples",
     "period_extrema",
     "dc_voltage",
+    "aligned_peaks",
     "ripple_peak",
     "max_ripple",
     "dc_limits",
@@ -105,6 +114,45 @@ def transfer(filt: RcFilter, f: float) -> tuple[float, float]:
     return filt.resistance / math.sqrt(1.0 + wt * wt), math.atan(-wt)
 
 
+def _omega_tau(fc: float, taus: list[float], truncation: int) -> np.ndarray:
+    """``2 pi k fc tau`` for k = 1..K, one row per tau.
+
+    Rows with tau = 0 are exact zeros: ``2 pi k fc`` may overflow, and
+    ``inf * 0`` is nan.
+    """
+    if 0.0 in taus:
+        wt = np.zeros((len(taus), truncation))
+        nonzero = [r for r, tau in enumerate(taus) if tau]
+        if nonzero:
+            wt[nonzero] = _omega_tau(fc, [taus[r] for r in nonzero], truncation)
+        return wt
+    ks = np.arange(1, truncation + 1, dtype=float)
+    return np.array(taus)[:, None] * (2.0 * np.pi * ks * fc)
+
+
+def filter_response(
+    resistance: float, fc: float, taus: list[float], truncation: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The filter at harmonics k = 1..K of ``fc``, one row per time constant.
+
+    Returns three read-only ``(m, K)`` matrices: the attenuation
+    ``sqrt(1 + (2 pi k fc tau)^2)``, the gain ``|H(k fc)| = R / attenuation``
+    and the phase ``angle H(k fc) = atan(-2 pi k fc tau)``.
+    """
+    wt = _omega_tau(fc, taus, truncation)
+    atten = np.sqrt(1.0 + wt * wt)
+    gains = resistance / atten
+    phases = np.arctan(-wt)
+    for matrix in (atten, gains, phases):
+        matrix.setflags(write=False)
+    return atten, gains, phases
+
+
+def harmonic_amplitudes(ak: np.ndarray, gains: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Complex amplitudes ``a_k |H(k fc)| exp(j angle H(k fc))``, row by row."""
+    return (gains * ak) * np.exp(1j * phases)
+
+
 @dataclass(frozen=True)
 class FilteredSeries:
     """A rectified series with the per-harmonic filter gain and phase attached.
@@ -125,8 +173,8 @@ class FilteredSeries:
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
-        """Complex harmonic amplitudes ``a_k |H(k fc)| exp(j angle H(k fc))``."""
-        amps = (self.gains * self.base.ak) * np.exp(1j * self.phase_shifts)
+        """:func:`harmonic_amplitudes` of this series, read-only."""
+        amps = harmonic_amplitudes(self.base.ak, self.gains, self.phase_shifts)
         amps.setflags(write=False)
         return amps
 
@@ -140,14 +188,10 @@ def filtered_series(series: FourierSeries, filt: RcFilter) -> FilteredSeries:
     """Attach ``|H(k fc)|`` and ``angle H(k fc)`` for k = 1..K."""
     if series.fundamental_fc <= 0:
         raise ValueError("series fundamental frequency must be > 0")
-    ks = np.arange(1, series.truncation + 1, dtype=float)
-    # exact tau = 0 values (gains R, phases atan(-0.0)) even where 2 pi k fc overflows
-    wt = 2.0 * np.pi * ks * series.fundamental_fc * filt.tau if filt.tau else np.zeros_like(ks)
-    gains = filt.resistance / np.sqrt(1.0 + wt * wt)
-    phase_shifts = np.arctan(-wt)
-    gains.setflags(write=False)
-    phase_shifts.setflags(write=False)
-    return FilteredSeries(base=series, filt=filt, gains=gains, phase_shifts=phase_shifts)
+    _, gains, phases = filter_response(
+        filt.resistance, series.fundamental_fc, [filt.tau], series.truncation
+    )
+    return FilteredSeries(base=series, filt=filt, gains=gains[0], phase_shifts=phases[0])
 
 
 def eval_filtered(fs: FilteredSeries, t):
@@ -166,38 +210,79 @@ def eval_filtered(fs: FilteredSeries, t):
     return base.scale * (dc + harmonic_sum(fs.horner, base.fundamental_fc, t))
 
 
-def period_samples(fs: FilteredSeries, n: int) -> np.ndarray:
-    """The output at ``t_i = i / (n fc)``, i = 0..n-1, by one inverse FFT.
+def period_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray:
+    """Outputs at ``t_i = i / (n fc)``, i = 0..n-1, for each row of ``amplitudes``.
 
-    Harmonic k of complex amplitude ``a_k |H_k| exp(j angle H_k)`` lands in
-    bin ``k mod n``, where it aliases exactly on this grid, so every n >= 2
-    gives :func:`eval_filtered`'s values on the grid up to roundoff.
+    Row r is ``scales[r] * (dc + sum_k Re(c_k exp(j 2 pi k i / n)))`` with
+    ``c_k = amplitudes[r, k - 1]``.  Harmonic k lands in bin ``k mod n``,
+    added in harmonic order, where it aliases exactly on this grid; so every
+    n >= 2 gives :func:`eval_filtered`'s values up to roundoff.  One
+    ``(m, n)`` spectrum and one inverse FFT along its rows serve all m rows,
+    and each row is bitwise what it would be alone.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    base = fs.base
-    amps = fs.amplitudes
-    bins = np.arange(1, base.truncation + 1) % n
-    spectrum = np.bincount(bins, weights=amps.real, minlength=n) + 1j * np.bincount(
-        bins, weights=amps.imag, minlength=n
-    )
-    dc = 0.5 * base.a0 * fs.filt.resistance
-    return base.scale * (dc + n * np.fft.ifft(spectrum).real)
+    rows, truncation = amplitudes.shape
+    spectrum = np.zeros((rows, n), dtype=complex)
+    # harmonics start .. start + n - 1 fill bins 0 .. n - 1 once each
+    for start in range(0, truncation + 1, n):
+        lo, hi = max(start, 1), min(start + n, truncation + 1)
+        spectrum[:, lo - start : hi - start] += amplitudes[:, lo - 1 : hi - 1]
+    values = np.fft.ifft(spectrum, axis=1, out=spectrum).real * n
+    values += dc
+    values *= np.asarray(scales, dtype=float)[:, None]
+    return values
+
+
+def grid_extrema(
+    amplitudes: np.ndarray,
+    scales,
+    dc: float,
+    fc: float,
+    n: int,
+    row_series: Callable[[int], FilteredSeries],
+) -> tuple[list[float], list[float]]:
+    """Max and min of each :func:`period_grid` row over one carrier period.
+
+    Each max is sharpened as :func:`rectenna.oracle.sample_stats` does it,
+    with the direct evaluator on ``row_series(r)``, the row's series; each
+    min is the grid's.  ``row_series`` is called only where the grid is
+    coarse enough to sharpen.
+    """
+    values = period_grid(amplitudes, scales, dc, n)
+    spacing = (1.0 / fc) / n
+    built = {}  # row series, built on first use: on fine grids nothing is evaluated
+
+    def evaluate(r: int, t):
+        if r not in built:
+            built[r] = row_series(r)
+        return eval_filtered(built[r], t)
+
+    vmaxs = []
+    for r, idx in enumerate(np.argmax(values, axis=1).tolist()):
+        vmax, _ = sharpen_max(partial(evaluate, r), idx * spacing, float(values[r, idx]), spacing)
+        vmaxs.append(vmax)
+    return vmaxs, values.min(axis=1).tolist()
+
+
+def _one_row(fs: FilteredSeries) -> tuple[np.ndarray, tuple[float], float]:
+    # the series as a one-row block: amplitudes, scales and dc for period_grid
+    return fs.amplitudes[None, :], (fs.base.scale,), 0.5 * fs.base.a0 * fs.filt.resistance
+
+
+def period_samples(fs: FilteredSeries, n: int) -> np.ndarray:
+    """The output at ``t_i = i / (n fc)``, i = 0..n-1: :func:`period_grid` of one row."""
+    return period_grid(*_one_row(fs), n)[0]
 
 
 def period_extrema(fs: FilteredSeries, n: int) -> tuple[float, float]:
     """Max and min of the output over one carrier period, from n samples.
 
-    The max is sharpened as :func:`rectenna.oracle.sample_stats` does it,
-    with the direct evaluator; the min is the grid's.
+    :func:`grid_extrema` of one row: the max is sharpened with the direct
+    evaluator, the min is the grid's.
     """
-    values = period_samples(fs, n)
-    idx = int(np.argmax(values))
-    spacing = (1.0 / fs.base.fundamental_fc) / n
-    vmax, _ = sharpen_max(
-        lambda t: eval_filtered(fs, t), idx * spacing, float(values[idx]), spacing
-    )
-    return vmax, float(values.min())
+    (vmax,), (vmin,) = grid_extrema(*_one_row(fs), fs.base.fundamental_fc, n, lambda _: fs)
+    return vmax, vmin
 
 
 def dc_voltage(kind: RectifierKind, filt: RcFilter, amplitude: float, fc: float) -> float:
@@ -222,14 +307,20 @@ def ripple_peak(
     MHz, R = 2 ohm, K = 256 it read below the sampled peak at every cut-off
     checked (minus DC, 0.00655 V against 0.00701 V at a 1e8 Hz cut-off).
     """
-    delta = amplification_factor(filt, fc)
-    ks = np.arange(1, truncation + 1, dtype=float)
-    ak = coefficients(kind, truncation)
-    wt = 2.0 * np.pi * ks * fc * filt.tau if filt.tau else np.zeros_like(ks)
-    atten = np.sqrt(1.0 + wt**2)
-    harmonics = float(np.sum(ak / atten))
+    atten, _, _ = filter_response(filt.resistance, fc, [filt.tau], truncation)
+    scale = amplification_factor(filt, fc) * amplitude
+    return float(aligned_peaks(kind, (scale,), filt.resistance, atten)[0])
+
+
+def aligned_peaks(kind: RectifierKind, scales, resistance: float, atten: np.ndarray) -> np.ndarray:
+    """:func:`ripple_peak` for each row of a :func:`filter_response` attenuation.
+
+    ``scale R (a0/2 + sum_k a_k / atten_k)``, where ``scale`` is the row's
+    input peak ``delta A``.
+    """
+    harmonics = np.sum(coefficients(kind, atten.shape[1]) / atten, axis=1)
     a0 = fourier_coefficient(kind, 0)
-    return delta * amplitude * filt.resistance * (0.5 * a0 + harmonics)
+    return np.asarray(scales, dtype=float) * resistance * (0.5 * a0 + harmonics)
 
 
 def max_ripple(

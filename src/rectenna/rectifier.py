@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,11 +85,13 @@ def fourier_coefficient(kind: RectifierKind, k: int) -> float:
     return numerator * cs / (math.pi * (1.0 - k * k))
 
 
+@lru_cache(maxsize=16)
 def coefficients(kind: RectifierKind, truncation: int) -> np.ndarray:
-    """Cosine coefficients ``a_1 .. a_K`` as one array.
+    """Cosine coefficients ``a_1 .. a_K`` as one read-only array.
 
     The same ``k mod 4`` rule as :func:`fourier_coefficient`, vectorized, and
-    bitwise equal to it: odd k != 1 are exactly +0.0.
+    bitwise equal to it: odd k != 1 are exactly +0.0.  Built once per
+    ``(kind, K)``; every caller shares the cached array.
     """
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
@@ -99,6 +101,7 @@ def coefficients(kind: RectifierKind, truncation: int) -> np.ndarray:
     even = np.arange(2, truncation + 1, 2)
     cs = np.take(_COS_HALF_PI, even % 4)
     ak[1::2] = numerator * cs / (math.pi * (1.0 - even.astype(float) ** 2))
+    ak.setflags(write=False)
     return ak
 
 
@@ -141,12 +144,10 @@ def build_series(
     fc: float = 1.0,
 ) -> FourierSeries:
     """Build the series truncated at harmonic ``truncation`` (K >= 1)."""
-    ak = coefficients(kind, truncation)
-    ak.setflags(write=False)
     return FourierSeries(
         kind=kind,
         a0=fourier_coefficient(kind, 0),
-        ak=ak,
+        ak=coefficients(kind, truncation),
         truncation=truncation,
         scale=scale,
         fundamental_fc=fc,

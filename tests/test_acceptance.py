@@ -108,12 +108,12 @@ def test_criterion_3_limit_cases():
 def test_criterion_4_trace_properties():
     start = time.perf_counter()
     ts = np.arange(4096) * (1.0 / FC / 4096)
-    low = np.array([v for _, v in time_trace(FULL, RL, AMP, FC, 1e9, ts)])
-    high = np.array([v for _, v in time_trace(FULL, RL, AMP, FC, 5e9, ts)])
+    low = np.array([v for _, v in time_trace(FULL, RcFilter.from_cutoff(RL, 1e9), AMP, FC, ts)])
+    high = np.array([v for _, v in time_trace(FULL, RcFilter.from_cutoff(RL, 5e9), AMP, FC, ts)])
     assert high.mean() > low.mean()
     assert np.ptp(high) > np.ptp(low)
 
-    unfiltered = np.array([v for _, v in time_trace(FULL, RL, AMP, FC, math.inf, ts)])
+    unfiltered = np.array([v for _, v in time_trace(FULL, RcFilter(RL, 0.0), AMP, FC, ts)])
     peak = AMP * RL ** 1.5
     tolerance = 4.0 / (math.pi * 256) * peak
     assert abs(float(unfiltered.max()) - peak) <= tolerance

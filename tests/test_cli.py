@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rectenna.cli
 from rectenna import (
     RcFilter,
     RectifierKind,
     amplification_factor,
     build_series,
+    eval_filtered,
     eval_series,
+    filtered_series,
 )
 from rectenna.cli import main
 
@@ -163,6 +166,29 @@ def test_unknown_command_exits_two(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("resistance,cap", [(2.0, 1e-10), (3.7, 2.9e-12), (1.3, 4.1e-11)])
+def test_trace_cap_evaluates_exactly_that_capacitor(capsys, monkeypatch, resistance, cap):
+    # RcFilter.from_cutoff(R, RcFilter(R, C).cutoff) can miss C by one ulp, as
+    # it does for (2, 1e-10); the CLI hands the filter itself to time_trace
+    seen = []
+    time_trace = rectenna.cli.time_trace
+
+    def spy(kind, filt, *args):
+        seen.append(filt)
+        return time_trace(kind, filt, *args)
+
+    monkeypatch.setattr(rectenna.cli, "time_trace", spy)
+    code, out, _ = run_cli(capsys, ["trace", "--cap", repr(cap), "--rl", repr(resistance)])
+    assert code == 0
+    filt = RcFilter(resistance, cap)
+    assert seen == [filt]
+    scale = amplification_factor(filt, 915e6)
+    fs = filtered_series(build_series(RectifierKind.FULL_WAVE, 256, scale=scale, fc=915e6), filt)
+    expected = eval_filtered(fs, np.arange(1024) * (2.0 / 915e6 / 1024))
+    _, rows = parse_csv(out)
+    assert [row[1] for row in rows] == [f"{v:.9g}" for v in expected]
 
 
 def test_fcut_zero_and_inf_both_mean_no_capacitor(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rectenna import (
@@ -14,6 +14,7 @@ from rectenna import (
     dc_limits,
     dc_voltage,
     eval_series,
+    make_grid,
     max_ripple,
     optimize_capacitance,
     rectified_reference,
@@ -93,6 +94,98 @@ def test_sweep_smaller_carrier_converges_faster():
         assert s_row.v_dc / high > f_row.v_dc / high
 
 
+def per_point_rows(kind, resistance, amplitude, fc, cutoffs, truncation, samples):
+    """The sweep rows as the per-point functions give them, one cut-off at a time."""
+    rows = []
+    for cutoff in cutoffs:
+        filt = RcFilter.from_cutoff(resistance, cutoff)
+        rows.append((
+            cutoff,
+            filt.tau,
+            filt.capacitance,
+            dc_voltage(kind, filt, amplitude, fc),
+            analytic_ripple(kind, filt, amplitude, fc, truncation),
+            sampled_ripple(kind, filt, amplitude, fc, truncation, samples),
+        ))
+    return np.array(rows)
+
+
+def sweep_array(rows):
+    return np.array([
+        (r.cutoff, r.tau, r.capacitance, r.v_dc, r.ripple_analytic, r.ripple_sampled)
+        for r in rows
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([FULL, HALF]),
+    samples=st.integers(2, 300),
+    truncation_ratio=st.floats(0.0, 2.5),
+    refined=st.booleans(),
+    carrier_offset=st.floats(0.01, 2.0),
+    resistance=st.floats(0.5, 8.0),
+    amplitude=st.floats(0.1, 3.0),
+    start_ratio=st.floats(1e-2, 1e2),
+    decades=st.floats(0.1, 4.0),
+    n_points=st.integers(2, 30),
+    spacing=st.sampled_from(["linear", "log"]),
+)
+@example(kind=HALF, samples=255, truncation_ratio=2.5, refined=True, carrier_offset=0.5,
+         resistance=2.0, amplitude=1.0, start_ratio=0.1, decades=3.0, n_points=17,
+         spacing="log")
+def test_blocked_sweep_is_bitwise_the_per_point_metrics(
+    kind, samples, truncation_ratio, refined, carrier_offset, resistance, amplitude,
+    start_ratio, decades, n_points, spacing,
+):
+    # carriers on both sides of fc * samples = 1e12, where sampled_ripple stops
+    # sharpening its maximum; K from 1 to 2.5x the samples, odd n included
+    truncation = max(1, int(truncation_ratio * samples))
+    fc = 1e12 / samples * 10 ** (-carrier_offset if refined else carrier_offset)
+    lo = start_ratio * fc
+    hi = lo * 10**decades
+    rows = sweep_cutoff(
+        kind, resistance, amplitude, fc, lo, hi, n_points, spacing, truncation, samples
+    )
+    cutoffs = make_grid(lo, hi, n_points, spacing).tolist()
+    expected = per_point_rows(kind, resistance, amplitude, fc, cutoffs, truncation, samples)
+    assert sweep_array(rows).tobytes() == expected.tobytes()
+
+
+def test_blocked_sweep_takes_exact_zero_tau_rows():
+    # 2 pi f_cut R overflows for the top five cut-offs, so from_cutoff gives
+    # C = 0 there: the first block of eight mixes tau > 0 and tau = 0 rows
+    lo, hi = 1e306, 1.7e308
+    rows = sweep_cutoff(FULL, RL, 1.0, FC, lo, hi, 11, "log", 64, 256)
+    assert [r.tau > 0.0 for r in rows] == [True] * 6 + [False] * 5
+    cutoffs = make_grid(lo, hi, 11, "log").tolist()
+    expected = per_point_rows(FULL, RL, 1.0, FC, cutoffs, 64, 256)
+    assert sweep_array(rows).tobytes() == expected.tobytes()
+    assert rows[-1].v_dc == dc_limits(FULL, RL, 1.0)[1]
+
+
+@pytest.mark.parametrize(
+    "lo,hi,points,spacing",
+    [
+        (1.0, 1.0, 5, "linear"),
+        (2.0, 1.0, 5, "log"),
+        (1.0, 2.0, 1, "linear"),
+        (0.0, 2.0, 5, "log"),
+        (1.0, math.inf, 5, "linear"),
+        (math.nan, 2.0, 5, "linear"),
+        (1.0, 2.0, 5, "cubic"),
+    ],
+)
+def test_make_grid_rejects_bad_ranges(lo, hi, points, spacing):
+    with pytest.raises(ValueError):
+        make_grid(lo, hi, points, spacing)
+
+
+def test_make_grid_spacings():
+    assert make_grid(0.0, 1.0, 5).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert make_grid(1.0, 1e3, 4, "log") == pytest.approx([1.0, 10.0, 100.0, 1e3], rel=1e-15)
+
+
 def test_optimize_unconstrained_budget_keeps_zero_capacitance():
     budget = max_ripple(FULL, 1.0, RL, 256) + 1.0
     res = optimize_capacitance(FULL, RL, 1.0, FC, budget, samples=1024)
@@ -162,15 +255,15 @@ def grid_one_period(n=4096):
 
 def test_trace_higher_cutoff_means_more_dc_and_more_ripple():
     ts = grid_one_period()
-    low = np.array([v for _, v in time_trace(FULL, RL, 1.0, FC, 1e9, ts)])
-    high = np.array([v for _, v in time_trace(FULL, RL, 1.0, FC, 5e9, ts)])
+    low = np.array([v for _, v in time_trace(FULL, RcFilter.from_cutoff(RL, 1e9), 1.0, FC, ts)])
+    high = np.array([v for _, v in time_trace(FULL, RcFilter.from_cutoff(RL, 5e9), 1.0, FC, ts)])
     assert high.mean() > low.mean()
     assert np.ptp(high) > np.ptp(low)
 
 
 def test_trace_unfiltered_equals_resistance_times_series():
     ts = grid_one_period(2048)
-    values = np.array([v for _, v in time_trace(FULL, RL, 1.0, FC, math.inf, ts)])
+    values = np.array([v for _, v in time_trace(FULL, RcFilter(RL, 0.0), 1.0, FC, ts)])
     base = build_series(FULL, 256, scale=amplification_factor(RcFilter(RL, 0.0), FC), fc=FC)
     expected = RL * eval_series(base, ts)
     assert np.max(np.abs(values - expected)) < 1e-12 * np.max(np.abs(expected))
@@ -178,7 +271,7 @@ def test_trace_unfiltered_equals_resistance_times_series():
 
 def test_trace_unfiltered_close_to_rectified_input():
     ts = grid_one_period(2048)
-    values = np.array([v for _, v in time_trace(FULL, RL, 1.0, FC, math.inf, ts)])
+    values = np.array([v for _, v in time_trace(FULL, RcFilter(RL, 0.0), 1.0, FC, ts)])
     reference = rectified_reference(FULL, RL, 1.0, FC, ts)
     tail = 4.0 / (math.pi * 256) * RL ** 1.5
     assert np.max(np.abs(values - reference)) <= tail
@@ -186,11 +279,11 @@ def test_trace_unfiltered_close_to_rectified_input():
 
 def test_trace_mean_equals_dc_voltage():
     ts = grid_one_period()
-    values = np.array([v for _, v in time_trace(FULL, RL, 1.0, FC, 1e9, ts)])
+    values = np.array([v for _, v in time_trace(FULL, RcFilter.from_cutoff(RL, 1e9), 1.0, FC, ts)])
     dc = dc_voltage(FULL, RcFilter.from_cutoff(RL, 1e9), 1.0, FC)
     assert values.mean() == pytest.approx(dc, rel=1e-6)
 
 
 def test_trace_rejects_empty_grid():
     with pytest.raises(ValueError):
-        time_trace(FULL, RL, 1.0, FC, 1e9, [])
+        time_trace(FULL, RcFilter.from_cutoff(RL, 1e9), 1.0, FC, [])

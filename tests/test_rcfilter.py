@@ -346,6 +346,23 @@ def test_period_samples_match_direct_evaluation(kind, truncation, cutoff, fc, n)
     assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
+@settings(max_examples=100, deadline=None)
+@given(kind=KINDS, truncation=st.integers(1, 900), cutoff=CUTOFFS, n=st.integers(2, 300))
+@example(kind=HALF, truncation=900, cutoff=1e9, n=7)  # each bin takes ~128 harmonics
+def test_period_samples_fold_harmonics_as_bincount(kind, truncation, cutoff, n):
+    # the spectrum the engine has always built: harmonic k added into bin
+    # k mod n in harmonic order, real and imaginary parts by np.bincount
+    fs = output_series(kind, RcFilter.from_cutoff(2.0, cutoff), 1.5, FC, truncation)
+    bins = np.arange(1, truncation + 1) % n
+    amps = fs.amplitudes
+    spectrum = np.bincount(bins, weights=amps.real, minlength=n) + 1j * np.bincount(
+        bins, weights=amps.imag, minlength=n
+    )
+    dc = 0.5 * fs.base.a0 * fs.filt.resistance
+    expected = fs.base.scale * (dc + n * np.fft.ifft(spectrum).real)
+    assert period_samples(fs, n).tobytes() == expected.tobytes()
+
+
 def test_period_samples_need_two_samples():
     fs = output_series(FULL, RcFilter(2.0, 0.0), 1.0, FC)
     with pytest.raises(ValueError):
