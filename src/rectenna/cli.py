@@ -401,7 +401,10 @@ def main(argv=None) -> int:
         require_finite_positive("--rl", config.resistance)
         if config.truncation < 1:
             raise ValueError(f"--truncation must be >= 1, got {config.truncation}")
-        return _HANDLERS[args.command](args, config)
+        # out-of-range inputs overflow to inf or nan inside numpy; _emit
+        # refuses such a table, so the warnings would only precede that error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _HANDLERS[args.command](args, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rcfilter import (
-    FilteredSeries,
     RcFilter,
     aligned_peaks,
     amplification_factor,
@@ -178,13 +177,9 @@ def _sweep_block(kind, cutoffs, filters, amplitude, fc, truncation, samples) -> 
     )
     peaks = aligned_peaks(kind, scales, resistance, atten).tolist()
 
-    def row_series(r: int) -> FilteredSeries:
-        base = build_series(kind, truncation, scale=scales[r], fc=fc)
-        return FilteredSeries(base=base, filt=filters[r], gains=gains[r], phase_shifts=phases[r])
-
     amps = harmonic_amplitudes(coefficients(kind, truncation), gains, phases)
     dc = 0.5 * fourier_coefficient(kind, 0) * resistance
-    vmaxs, vmins = grid_extrema(amps, scales, dc, fc, samples, row_series)
+    vmaxs, vmins = grid_extrema(amps, scales, dc, fc, samples)
     rows = []
     for cutoff, filt, peak, vmax, vmin in zip(cutoffs, filters, peaks, vmaxs, vmins):
         v_dc = dc_voltage(kind, filt, amplitude, fc)

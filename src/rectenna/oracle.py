@@ -24,7 +24,6 @@ __all__ = [
     "quad_b_coefficient",
     "quad_multisine_a0",
     "sample_stats",
-    "sharpen_max",
 ]
 
 _GAUSS_ORDER = 32
@@ -166,7 +165,7 @@ def _golden_maximize(f: Callable, lo: float, hi: float, tol: float) -> tuple[flo
     return x, float(f(x))
 
 
-def sharpen_max(f: Callable, t: float, value: float, spacing: float) -> tuple[float, float]:
+def _sharpen_max(f: Callable, t: float, value: float, spacing: float) -> tuple[float, float]:
     """Sharpen a sampled maximum ``value = f(t)`` on a grid of ``spacing``.
 
     Golden-section search over ``[t - spacing, t + spacing]`` down to 1e-12 s,
@@ -201,7 +200,7 @@ def sample_stats(f: Callable, period: float, n: int, refine_argmax: bool = True)
     vmin = float(values.min())
     argmax_t = float(ts[idx])
     if refine_argmax:
-        vmax, argmax_t = sharpen_max(f, argmax_t, vmax, period / n)
+        vmax, argmax_t = _sharpen_max(f, argmax_t, vmax, period / n)
     return SampleStats(
         mean=mean,
         max=vmax,

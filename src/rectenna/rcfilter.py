@@ -10,21 +10,21 @@ The design layer samples the output on a uniform grid over one carrier period
 many times.  :func:`period_grid` does that for a block of time constants at
 once: one ``(m, K)`` filter matrix from :func:`filter_response`, one ``(m, n)``
 spectrum and one inverse FFT along its rows; :func:`period_samples` and
-:func:`period_extrema` are its one-row case.  :func:`eval_filtered` serves
-arbitrary times: it evaluates the series as a polynomial in the phasor
-``exp(j 2 pi fc t)`` by Horner's rule.
+:func:`period_extrema` are its one-row case.  Where that grid is coarser than
+1e-12 s, :func:`grid_extrema` Newton-polishes both its extrema on the exact
+trig polynomial; finer grids keep their grid extrema.  :func:`eval_filtered`
+serves arbitrary times: it evaluates the series as a polynomial in the
+phasor ``exp(j 2 pi fc t)`` by Horner's rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .oracle import sharpen_max
 from .rectifier import (
     DEFAULT_TRUNCATION,
     FourierSeries,
@@ -56,6 +56,15 @@ __all__ = [
     "dc_limits",
     "require_finite_positive",
 ]
+
+# grids coarser than this (seconds per sample) get Newton-polished extrema
+_POLISH_SPACING = 1e-12
+# Taylor tail the local polynomial drops, relative to sum_k |c_k|
+_TAYLOR_TAIL = 1e-17
+# Newton on the local polynomial: step cap, and the step (in grid steps)
+# below which the next one would move the value by less than roundoff
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,11 @@ def _omega_tau(fc: float, taus: list[float], truncation: int) -> np.ndarray:
     return np.array(taus)[:, None] * (2.0 * np.pi * ks * fc)
 
 
+def _attenuation(wt: np.ndarray) -> np.ndarray:
+    """``sqrt(1 + wt^2)``, ``R / |H|``, for an :func:`_omega_tau` matrix."""
+    return np.sqrt(1.0 + wt * wt)
+
+
 def filter_response(
     resistance: float, fc: float, taus: list[float], truncation: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,7 +154,7 @@ def filter_response(
     and the phase ``angle H(k fc) = atan(-2 pi k fc tau)``.
     """
     wt = _omega_tau(fc, taus, truncation)
-    atten = np.sqrt(1.0 + wt * wt)
+    atten = _attenuation(wt)
     gains = resistance / atten
     phases = np.arctan(-wt)
     for matrix in (atten, gains, phases):
@@ -234,35 +248,113 @@ def period_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray
     return values
 
 
+@lru_cache(maxsize=8)
+def _roots_of_unity(n: int) -> np.ndarray:
+    """``exp(j 2 pi m / n)`` for m = 0..n-1, read-only.
+
+    Angles are taken in ``(-pi, pi]``, so each root is within roundoff of
+    exact; :func:`_local_polynomial` indexes it by ``(i k) mod n``, which is
+    exact integer arithmetic.
+    """
+    m = np.arange(n)
+    m[2 * m > n] -= n
+    roots = np.exp((2j * np.pi / n) * m)
+    roots.setflags(write=False)
+    return roots
+
+
+@lru_cache(maxsize=8)
+def _taylor_table(truncation: int, n: int) -> np.ndarray:
+    """Real ``(2K, D + 1)`` Taylor matrix W, read-only, for ``h = 2 pi / n``.
+
+    For complex ``b_1 .. b_K``, ``(b.view(float) @ W)[p]`` is
+    ``Re sum_k b_k (j k h)^p / p!``: rows 2(k-1) and 2(k-1) + 1 hold the
+    real part and the negated imaginary part of ``(j k h)^p / p!``.  D is the
+    first degree with ``(K h)^(D+1) / (D+1)! < 1e-17``, so the Taylor tail
+    dropped for |u| <= 1 is below 1e-17 of ``sum_k |b_k|``.
+    """
+    h = 2.0 * np.pi / n
+    x = truncation * h
+    degree, term = 0, x
+    while term >= _TAYLOR_TAIL:
+        degree += 1
+        term *= x / (degree + 1)
+    kh = h * np.arange(1, truncation + 1)
+    powers = np.empty((truncation, degree + 1), dtype=complex)
+    powers[:, 0] = 1.0
+    for p in range(1, degree + 1):
+        powers[:, p] = powers[:, p - 1] * (1j * kh) / p
+    table = np.empty((2 * truncation, degree + 1))
+    table[0::2] = powers.real
+    table[1::2] = -powers.imag
+    table.setflags(write=False)
+    return table
+
+
+def _local_polynomial(amplitudes: np.ndarray, i: int, n: int) -> list[float]:
+    """Coefficients ``r_p`` of ``Re sum_k c_k exp(j k (theta_i + u h)) = sum_p r_p u^p``.
+
+    ``theta_i = i h`` is grid point i, ``h = 2 pi / n`` and ``c_k =
+    amplitudes[k - 1]``; the expansion holds to 1e-17 of ``sum_k |c_k|`` for
+    |u| <= 1.  One vector-matrix product, so a row's coefficients do not
+    depend on the other rows of its block.
+    """
+    truncation = amplitudes.shape[0]
+    ks = np.arange(1, truncation + 1)
+    shifted = amplitudes * _roots_of_unity(n)[(i * ks) % n]
+    return (shifted.view(float) @ _taylor_table(truncation, n)).tolist()
+
+
+def _newton_extremum(coeffs: list[float], sign: float) -> float:
+    """``sum_p coeffs[p] u^p`` at the Newton extremum nearest u = 0, |u| <= 1.
+
+    Seeks a maximum for sign = +1 and a minimum for sign = -1; stops where
+    the second derivative has the wrong sign for one.
+    """
+    backwards = coeffs[::-1]
+    u, step = 0.0, math.inf
+    for _ in range(_NEWTON_STEPS + 1):
+        value = slope = half_curve = 0.0
+        for c in backwards:
+            half_curve = half_curve * u + slope
+            slope = slope * u + value
+            value = value * u + c
+        if abs(step) <= _NEWTON_TOL or sign * half_curve >= 0.0:
+            break
+        u_next = min(1.0, max(-1.0, u - 0.5 * slope / half_curve))
+        step, u = u_next - u, u_next
+    return value
+
+
 def grid_extrema(
-    amplitudes: np.ndarray,
-    scales,
-    dc: float,
-    fc: float,
-    n: int,
-    row_series: Callable[[int], FilteredSeries],
+    amplitudes: np.ndarray, scales, dc: float, fc: float, n: int
 ) -> tuple[list[float], list[float]]:
     """Max and min of each :func:`period_grid` row over one carrier period.
 
-    Each max is sharpened as :func:`rectenna.oracle.sample_stats` does it,
-    with the direct evaluator on ``row_series(r)``, the row's series; each
-    min is the grid's.  ``row_series`` is called only where the grid is
-    coarse enough to sharpen.
+    Where the grid spacing ``1 / (fc n)`` is coarser than 1e-12 s, both grid
+    extrema are Newton-polished on the exact trig polynomial: the row's
+    series is expanded around the grid argmax and argmin in powers of the
+    offset u (in grid steps, ``|u| <= 1``; :func:`_local_polynomial`), and
+    Newton's method runs on that polynomial (:func:`_newton_extremum`).  Each
+    result is the better of the grid value and the polished one.  Finer
+    grids keep their grid extrema, which already lie within ``scale
+    (2 pi / n)^2 / 8 sum_k k^2 |c_k|`` of the exact ones.  So do grids with
+    fewer than two samples per period of the top harmonic (``n < 2K``):
+    there the expansion over one step loses about ``exp(2 pi K / n)`` in
+    precision, and the grid extremum need not sit one step from the exact
+    one.  Each row is bitwise what it would be alone.
     """
     values = period_grid(amplitudes, scales, dc, n)
-    spacing = (1.0 / fc) / n
-    built = {}  # row series, built on first use: on fine grids nothing is evaluated
-
-    def evaluate(r: int, t):
-        if r not in built:
-            built[r] = row_series(r)
-        return eval_filtered(built[r], t)
-
-    vmaxs = []
-    for r, idx in enumerate(np.argmax(values, axis=1).tolist()):
-        vmax, _ = sharpen_max(partial(evaluate, r), idx * spacing, float(values[r, idx]), spacing)
-        vmaxs.append(vmax)
-    return vmaxs, values.min(axis=1).tolist()
+    vmaxs, vmins = values.max(axis=1).tolist(), values.min(axis=1).tolist()
+    if (1.0 / fc) / n <= _POLISH_SPACING or n < 2 * amplitudes.shape[1]:
+        return vmaxs, vmins
+    argmaxs, argmins = np.argmax(values, axis=1).tolist(), np.argmin(values, axis=1).tolist()
+    for r, scale in enumerate(np.asarray(scales, dtype=float).tolist()):
+        top = _newton_extremum(_local_polynomial(amplitudes[r], argmaxs[r], n), 1.0)
+        bottom = _newton_extremum(_local_polynomial(amplitudes[r], argmins[r], n), -1.0)
+        vmaxs[r] = max(vmaxs[r], scale * (dc + top))
+        vmins[r] = min(vmins[r], scale * (dc + bottom))
+    return vmaxs, vmins
 
 
 def _one_row(fs: FilteredSeries) -> tuple[np.ndarray, tuple[float], float]:
@@ -278,10 +370,10 @@ def period_samples(fs: FilteredSeries, n: int) -> np.ndarray:
 def period_extrema(fs: FilteredSeries, n: int) -> tuple[float, float]:
     """Max and min of the output over one carrier period, from n samples.
 
-    :func:`grid_extrema` of one row: the max is sharpened with the direct
-    evaluator, the min is the grid's.
+    :func:`grid_extrema` of one row: both are Newton-polished where the grid
+    is coarser than 1e-12 s, and are the grid's elsewhere.
     """
-    (vmax,), (vmin,) = grid_extrema(*_one_row(fs), fs.base.fundamental_fc, n, lambda _: fs)
+    (vmax,), (vmin,) = grid_extrema(*_one_row(fs), fs.base.fundamental_fc, n)
     return vmax, vmin
 
 
@@ -307,7 +399,7 @@ def ripple_peak(
     MHz, R = 2 ohm, K = 256 it read below the sampled peak at every cut-off
     checked (minus DC, 0.00655 V against 0.00701 V at a 1e8 Hz cut-off).
     """
-    atten, _, _ = filter_response(filt.resistance, fc, [filt.tau], truncation)
+    atten = _attenuation(_omega_tau(fc, [filt.tau], truncation))
     scale = amplification_factor(filt, fc) * amplitude
     return float(aligned_peaks(kind, (scale,), filt.resistance, atten)[0])
 

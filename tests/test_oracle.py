@@ -1,8 +1,13 @@
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import rectenna.design
+import rectenna.oracle
+import rectenna.rcfilter
 from rectenna import (
     RcFilter,
     RectifierKind,
@@ -166,3 +171,22 @@ def test_sample_stats_refinement_stops_far_from_zero():
     stats = sample_stats(lambda t: np.cos(2 * np.pi * (t / 1e6 - 0.7)), 1e6, 64)
     assert stats.max == pytest.approx(1.0, abs=1e-12)
     assert abs(stats.argmax_t - 0.7e6) < 1.0
+
+
+def imported_names(module):
+    """Every module or name a module's import statements mention."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    return {part for name in names for part in name.split(".") if part}
+
+
+def test_oracle_and_engine_do_not_import_each_other():
+    # the oracle is the independent check of the closed forms and the engine
+    assert imported_names(rectenna.oracle).isdisjoint({"rcfilter", "design"})
+    for engine in (rectenna.rcfilter, rectenna.design):
+        assert "oracle" not in imported_names(engine), engine.__name__
