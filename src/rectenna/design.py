@@ -53,7 +53,8 @@ RIPPLE_METRICS = ("sampled_ptp", "analytic")
 DEFAULT_SAMPLES = 4096
 
 # cut-offs per filter matrix and inverse FFT in sweep_cutoff: a block shares
-# the fixed numpy cost per call, and each row adds ~0.2 MB at 4096 samples
+# the fixed numpy cost per call, and each row takes ~0.1 MB at 4096 samples,
+# 64 KB of it in the period grid's reused scratch arrays
 _SWEEP_BLOCK = 8
 
 # log-tau bisection bracket (seconds); the upper end grows if ever needed

@@ -8,18 +8,24 @@ more DC and more ripple, large tau kills both.
 
 The design layer samples the output on a uniform grid over one carrier period
 many times.  :func:`period_grid` does that for a block of time constants at
-once: one ``(m, K)`` filter matrix from :func:`filter_response`, one ``(m, n)``
-spectrum and one inverse FFT along its rows; :func:`period_samples` and
-:func:`period_extrema` are its one-row case.  Where that grid is coarser than
-1e-12 s, :func:`grid_extrema` Newton-polishes both its extrema on the exact
-trig polynomial; finer grids keep their grid extrema.  :func:`eval_filtered`
-serves arbitrary times: it evaluates the series as a polynomial in the
-phasor ``exp(j 2 pi fc t)`` by Horner's rule.
+once, from one ``(m, K)`` filter matrix (:func:`filter_response`).  The
+rectified carrier has only c_1 and even harmonics, so for even n the even
+ones fold into an ``(m, n/4 + 1)`` one-sided spectrum and one real inverse
+FFT of length n/2 along its rows gives them on half the grid; the c_1 cosine
+is then added on one half period and subtracted on the other.  The spectrum,
+the c_1 term and the grid live in per-thread scratch arrays that later calls
+reuse.  :func:`period_samples` and :func:`period_extrema` are the one-row
+case.  Where that grid is coarser than 1e-12 s, :func:`grid_extrema`
+Newton-polishes both its extrema on the exact trig polynomial; finer grids
+keep their grid extrema.  :func:`eval_filtered` serves arbitrary times: it
+evaluates the series as a polynomial in the phasor ``exp(j 2 pi fc t)`` by
+Horner's rule.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -65,6 +71,10 @@ _TAYLOR_TAIL = 1e-17
 # below which the next one would move the value by less than roundoff
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-9
+# period grid scratch arrays, per thread so concurrent calls never share one;
+# reused so a sweep's blocks do not fault in fresh pages on every call
+_SCRATCH = threading.local()
+_SCRATCH_SHAPES = 4
 
 
 @dataclass(frozen=True)
@@ -224,28 +234,103 @@ def eval_filtered(fs: FilteredSeries, t):
     return base.scale * (dc + harmonic_sum(fs.horner, base.fundamental_fc, t))
 
 
+def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's spectrum, c_1-term and grid arrays for a ``(rows, n)`` grid.
+
+    Kept for the last few shapes used, oldest dropped first.
+    """
+    spaces = _SCRATCH.__dict__.setdefault("spaces", {})
+    key = (rows, n)
+    if key not in spaces:
+        if len(spaces) >= _SCRATCH_SHAPES:
+            del spaces[next(iter(spaces))]
+        points = n // 2 if n % 2 == 0 else n
+        spaces[key] = (
+            np.empty((rows, points // 2 + 1), dtype=complex),
+            np.empty((rows, n // 2)),
+            np.empty((rows, n)),
+        )
+    return spaces[key]
+
+
+def _fold_one_sided(spectrum: np.ndarray, placed: np.ndarray, points: int) -> None:
+    """Fold ``placed[:, f - 1]``, the amplitude of frequency f = 1..F on a
+    ``points``-sample grid, into the one-sided ``spectrum`` (zeroed first).
+
+    Frequency f aliases exactly into bin ``b = f mod points``; a bin above
+    ``points / 2`` is the conjugate of bin ``points - b``.  Each bin adds its
+    frequencies in increasing order, as ``np.bincount`` would.
+    """
+    spectrum.fill(0.0)
+    top, half = placed.shape[1], points // 2
+    for start in range(0, top + 1, points):
+        lo, hi = max(start, 1), min(start + points, top + 1)
+        mid = min(hi, start + half + 1)
+        spectrum[:, lo - start : mid - start] += placed[:, lo - 1 : mid - 1]
+        if mid < hi:
+            mirrored = placed[:, mid - 1 : hi - 1][:, ::-1].conj()
+            spectrum[:, start + points - hi + 1 : start + points - mid + 1] += mirrored
+
+
+def _grid_into_scratch(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray:
+    """:func:`period_grid`, written into this thread's scratch grid and returned.
+
+    The result is overwritten by the next call on this thread with the same
+    shape, so callers read it before calling again.
+    """
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
+    if np.any(amplitudes[:, 2::2]):
+        raise ValueError("odd harmonics k >= 3 must be zero, as the rectifier's are")
+    rows = amplitudes.shape[0]
+    spectrum, fundamental, grid = _scratch(rows, n)
+    scales = np.asarray(scales, dtype=float)
+    even = n % 2 == 0
+    # even n: harmonic 2j is frequency j on the half grid; odd n: the full one
+    points = n // 2 if even else n
+    placed = amplitudes[:, 1::2] if even else amplitudes
+    _fold_one_sided(spectrum, placed, points)
+    spectrum[:, 0] += dc
+    # irfft (norm="forward") sums bin 0, the Nyquist bin and 2 Re of the rest
+    spectrum[:, : min(placed.shape[1], points // 2) + 1] *= (0.5 * scales)[:, None]
+    spectrum[:, 0] *= 2.0
+    if points % 2 == 0:
+        spectrum[:, points // 2] *= 2.0
+    low, high = grid[:, :points], grid[:, points:]
+    np.fft.irfft(spectrum, points, axis=1, norm="forward", out=low)
+    if not even:
+        return grid
+    c1 = amplitudes[:, 0] * scales
+    if not np.any(c1):
+        high[...] = low
+        return grid
+    # Re(c_1 w^i) for i < n/2, then E_i -+ that on both half periods
+    roots = _roots_of_unity(n)[:points]
+    np.multiply(c1.imag[:, None], roots.imag, out=high)
+    np.multiply(c1.real[:, None], roots.real, out=fundamental)
+    fundamental -= high
+    np.subtract(low, fundamental, out=high)
+    low += fundamental
+    return grid
+
+
 def period_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray:
     """Outputs at ``t_i = i / (n fc)``, i = 0..n-1, for each row of ``amplitudes``.
 
     Row r is ``scales[r] * (dc + sum_k Re(c_k exp(j 2 pi k i / n)))`` with
-    ``c_k = amplitudes[r, k - 1]``.  Harmonic k lands in bin ``k mod n``,
-    added in harmonic order, where it aliases exactly on this grid; so every
-    n >= 2 gives :func:`eval_filtered`'s values up to roundoff.  One
-    ``(m, n)`` spectrum and one inverse FFT along its rows serve all m rows,
-    and each row is bitwise what it would be alone.
+    ``c_k = amplitudes[r, k - 1]``.  The odd harmonics k >= 3 must be exactly
+    zero, as the rectifier's are; otherwise ``ValueError``.  For even n the
+    sum splits by parity as ``E_i + L_i`` with ``L_i = Re(c_1 exp(j 2 pi i /
+    n))``: E has period n/2, and ``L_(i + n/2) = -L_i``.  So one real inverse
+    FFT of length n/2 gives E, with harmonic 2j folded into bin j of a
+    one-sided spectrum (:func:`_fold_one_sided`; the row scale and dc
+    folded in too), and the output is ``E_i + L_i`` and ``E_i - L_i`` on the
+    two half periods.  Odd n folds every harmonic the same way at length n.
+    Harmonics alias exactly on the grid, so every n >= 2 gives
+    :func:`eval_filtered`'s values up to roundoff, and each row is bitwise
+    what it would be alone.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    rows, truncation = amplitudes.shape
-    spectrum = np.zeros((rows, n), dtype=complex)
-    # harmonics start .. start + n - 1 fill bins 0 .. n - 1 once each
-    for start in range(0, truncation + 1, n):
-        lo, hi = max(start, 1), min(start + n, truncation + 1)
-        spectrum[:, lo - start : hi - start] += amplitudes[:, lo - 1 : hi - 1]
-    values = np.fft.ifft(spectrum, axis=1, out=spectrum).real * n
-    values += dc
-    values *= np.asarray(scales, dtype=float)[:, None]
-    return values
+    return _grid_into_scratch(amplitudes, scales, dc, n).copy()
 
 
 @lru_cache(maxsize=8)
@@ -344,7 +429,7 @@ def grid_extrema(
     precision, and the grid extremum need not sit one step from the exact
     one.  Each row is bitwise what it would be alone.
     """
-    values = period_grid(amplitudes, scales, dc, n)
+    values = _grid_into_scratch(amplitudes, scales, dc, n)
     vmaxs, vmins = values.max(axis=1).tolist(), values.min(axis=1).tolist()
     if (1.0 / fc) / n <= _POLISH_SPACING or n < 2 * amplitudes.shape[1]:
         return vmaxs, vmins

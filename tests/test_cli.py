@@ -214,6 +214,7 @@ def test_fcut_zero_and_inf_both_mean_no_capacitor(capsys):
         ["trace", "--fcut=nan"],
         ["sweep", "--fcut", "1e8:inf:3:log"],
         ["multisine-a0", "--df=nan"],
+        ["multisine-a0", "--df", "1.2e9"],  # df > fc, where the closed form fails
         ["trace", "--fc=1.7e308", "--fcut", "0"],  # finite input, overflowing output
     ],
 )

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -150,6 +152,37 @@ def test_blocked_sweep_is_bitwise_the_per_point_metrics(
     cutoffs = make_grid(lo, hi, n_points, spacing).tolist()
     expected = per_point_rows(kind, resistance, amplitude, fc, cutoffs, truncation, samples)
     assert sweep_array(rows).tobytes() == expected.tobytes()
+
+
+def test_concurrent_sweeps_match_the_single_thread_rows():
+    # the period grid reuses scratch arrays; threads must never share them
+    inputs = [
+        (HALF, RL, 1.0, FC, 1e8, 1e11, 50, "log"),
+        (FULL, 3.0, 0.5, 13.56e6, 1e6, 1e9, 20, "log"),
+    ]
+    expected = [sweep_array(sweep_cutoff(*args)).tobytes() for args in inputs]
+    mismatches, finished = [], []
+
+    def worker(offset):
+        for i in range(30):
+            which = (i + offset) % 2
+            if sweep_array(sweep_cutoff(*inputs[which])).tobytes() != expected[which]:
+                mismatches.append((offset, i))
+        finished.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert mismatches == []
 
 
 def test_blocked_sweep_takes_exact_zero_tau_rows():

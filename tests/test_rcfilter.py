@@ -24,6 +24,7 @@ from rectenna import (
     sample_stats,
     transfer,
 )
+from rectenna.rcfilter import grid_extrema, period_grid
 
 FULL = RectifierKind.FULL_WAVE
 HALF = RectifierKind.HALF_WAVE
@@ -337,6 +338,8 @@ CUTOFFS = st.one_of(st.just(math.inf), st.floats(min_value=1e7, max_value=1e12))
 @example(kind=FULL, truncation=256, cutoff=1e9, fc=FC, n=512)  # n = 2K
 @example(kind=HALF, truncation=256, cutoff=1e9, fc=FC, n=511)  # odd, below 2K
 @example(kind=HALF, truncation=300, cutoff=math.inf, fc=FC, n=2)
+@example(kind=FULL, truncation=256, cutoff=1e9, fc=FC, n=4096)  # the CLI's grid
+@example(kind=HALF, truncation=256, cutoff=1e9, fc=FC, n=4096)
 def test_period_samples_match_direct_evaluation(kind, truncation, cutoff, fc, n):
     filt = RcFilter.from_cutoff(2.0, cutoff)
     fs = output_series(kind, filt, 1.0, fc, truncation)
@@ -349,17 +352,44 @@ def test_period_samples_match_direct_evaluation(kind, truncation, cutoff, fc, n)
 @settings(max_examples=100, deadline=None)
 @given(kind=KINDS, truncation=st.integers(1, 900), cutoff=CUTOFFS, n=st.integers(2, 300))
 @example(kind=HALF, truncation=900, cutoff=1e9, n=7)  # each bin takes ~128 harmonics
+@example(kind=HALF, truncation=900, cutoff=1e9, n=8)  # each half-grid bin takes ~112
 def test_period_samples_fold_harmonics_as_bincount(kind, truncation, cutoff, n):
-    # the spectrum the engine has always built: harmonic k added into bin
-    # k mod n in harmonic order, real and imaginary parts by np.bincount
+    # the engine's construction, rebuilt: on a grid of m = n/2 points (even n,
+    # harmonic 2j is frequency j) or m = n points (odd n, every harmonic),
+    # frequency f lands in bin b = f mod m, or conjugated in bin m - b when
+    # b > m/2, added in frequency order by np.bincount; then one real inverse
+    # FFT, and for even n the c_1 cosine added and subtracted on the two
+    # half periods
     fs = output_series(kind, RcFilter.from_cutoff(2.0, cutoff), 1.5, FC, truncation)
-    bins = np.arange(1, truncation + 1) % n
-    amps = fs.amplitudes
-    spectrum = np.bincount(bins, weights=amps.real, minlength=n) + 1j * np.bincount(
-        bins, weights=amps.imag, minlength=n
+    amps, scale = fs.amplitudes, fs.base.scale
+    even = n % 2 == 0
+    m = n // 2 if even else n
+    placed = amps[1::2] if even else amps
+    bins = np.arange(1, placed.size + 1) % m
+    mirrored = 2 * bins > m
+    bins[mirrored] = m - bins[mirrored]
+    spectrum = np.empty(m // 2 + 1, dtype=complex)
+    spectrum.real = np.bincount(bins, weights=placed.real, minlength=m // 2 + 1)
+    spectrum.imag = np.bincount(
+        bins, weights=np.where(mirrored, -placed.imag, placed.imag), minlength=m // 2 + 1
     )
-    dc = 0.5 * fs.base.a0 * fs.filt.resistance
-    expected = fs.base.scale * (dc + n * np.fft.ifft(spectrum).real)
+    spectrum[0] += 0.5 * fs.base.a0 * fs.filt.resistance
+    # irfft sums bin 0, the Nyquist bin and twice the real part of the others
+    spectrum *= 0.5 * scale
+    spectrum[0] *= 2.0
+    if m % 2 == 0:
+        spectrum[m // 2] *= 2.0
+    even_part = np.fft.irfft(spectrum, m, norm="forward")
+    if even:
+        c1 = amps[0] * scale
+        if c1:
+            roots = np.exp((2j * np.pi / n) * np.arange(m))
+            first = c1.real * roots.real - c1.imag * roots.imag
+        else:
+            first = np.zeros(m)
+        expected = np.concatenate([even_part + first, even_part - first])
+    else:
+        expected = even_part
     assert period_samples(fs, n).tobytes() == expected.tobytes()
 
 
@@ -367,6 +397,20 @@ def test_period_samples_need_two_samples():
     fs = output_series(FULL, RcFilter(2.0, 0.0), 1.0, FC)
     with pytest.raises(ValueError):
         period_samples(fs, 1)
+
+
+@pytest.mark.parametrize("n", [4096, 7])
+@pytest.mark.parametrize("k", [3, 255])
+def test_period_grid_rejects_odd_harmonics_above_one(n, k):
+    # the engine serves the rectifier's series only, whose odd k >= 3 are zero
+    amps = np.zeros((2, 256), dtype=complex)
+    amps[:, 0], amps[:, 1] = 0.5, 0.25
+    period_grid(amps, [1.0, 2.0], 0.5, n)
+    amps[1, k - 1] = 1e-300j
+    with pytest.raises(ValueError):
+        period_grid(amps, [1.0, 2.0], 0.5, n)
+    with pytest.raises(ValueError):
+        grid_extrema(amps, [1.0, 2.0], 0.5, 13.56e6, n)
 
 
 def output_norm(fs):

@@ -180,7 +180,14 @@ def test_multisine_a0_monotone_decreasing_up_to_carrier():
 
 @pytest.mark.parametrize(
     "fc,df",
-    [(915e6, 2 * 915e6), (915e6, 3e9), (915e6, -1.0), (0.0, 1.0), (-1.0, 1.0)],
+    [
+        (915e6, 1.2 * 915e6),  # beyond fc the closed form leaves its quadrature twin
+        (915e6, 2 * 915e6),
+        (915e6, 3e9),
+        (915e6, -1.0),
+        (0.0, 1.0),
+        (-1.0, 1.0),
+    ],
 )
 def test_multisine_a0_domain_errors(fc, df):
     with pytest.raises(ValueError):
