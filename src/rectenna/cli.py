@@ -1,7 +1,9 @@
 """Command-line front end: coefficient tables, traces, sweeps, design, validation.
 
 All tables are emitted as CSV (default) or JSON with 9-significant-digit
-floats, so identical invocations produce byte-identical output.
+floats, so identical invocations produce byte-identical output.  A CSV table
+is built by one ``%``-format pass over its flattened cells, whose ``%.9g``
+gives exactly the digits of ``f"{v:.9g}"``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,22 +75,34 @@ def _json_value(value):
     return value
 
 
-def _emit(header: list[str], rows: list[list], config: RunConfig) -> None:
+def _emit(header: list[str], rows: Sequence[Sequence], config: RunConfig) -> None:
+    cells = list(itertools.chain.from_iterable(rows))
     # finite inputs can still overflow (fc or rl near the float maximum);
     # every cell is a number (int, bool or float), so isfinite takes them all
-    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+    if not all(map(math.isfinite, cells)):
         raise ValueError("result is not finite; an input is out of range")
     if config.output_format == "csv":
-        lines = [",".join(header)]
-        lines += [
-            ",".join(f"{v:.9g}" if type(v) is float else _fmt(v) for v in row) for row in rows
-        ]
-        text = "\n".join(lines) + "\n"
+        # one %-format over all cells: "%.9g" is f"{v:.9g}" digit for digit, so
+        # all-float columns are formatted in C; other columns go in as _fmt text
+        width = len(header)
+        conversions = []
+        for j in range(width):
+            if set(map(type, cells[j::width])) <= {float}:
+                conversions.append("%.9g")
+            else:
+                cells[j::width] = map(_fmt, cells[j::width])
+                conversions.append("%s")
+        row_format = ",".join(conversions) + "\n"
+        text = ",".join(header) + "\n" + (row_format * len(rows)) % tuple(cells)
     else:
         records = [{name: _json_value(v) for name, v in zip(header, row)} for row in rows]
         text = json.dumps(records, indent=2) + "\n"
     if config.output_path:
-        with open(config.output_path, "w") as fh:
+        try:
+            fh = open(config.output_path, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -153,7 +168,7 @@ def _cmd_trace(args, config: RunConfig) -> int:
     else:
         ts = np.arange(1024) * (2.0 / config.fc / 1024)
     pairs = time_trace(config.kind, filt, config.amplitude, config.fc, ts, config.truncation)
-    _emit(["t_s", "v_o_v"], [list(p) for p in pairs], config)
+    _emit(["t_s", "v_o_v"], pairs, config)
     return 0
 
 

@@ -305,9 +305,9 @@ def _grid_into_scratch(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.
         high[...] = low
         return grid
     # Re(c_1 w^i) for i < n/2, then E_i -+ that on both half periods
-    roots = _roots_of_unity(n)[:points]
-    np.multiply(c1.imag[:, None], roots.imag, out=high)
-    np.multiply(c1.real[:, None], roots.real, out=fundamental)
+    cos, sin = _half_period_roots(n)
+    np.multiply(c1.imag[:, None], sin, out=high)
+    np.multiply(c1.real[:, None], cos, out=fundamental)
     fundamental -= high
     np.subtract(low, fundamental, out=high)
     low += fundamental
@@ -346,6 +346,17 @@ def _roots_of_unity(n: int) -> np.ndarray:
     roots = np.exp((2j * np.pi / n) * m)
     roots.setflags(write=False)
     return roots
+
+
+@lru_cache(maxsize=8)
+def _half_period_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the first n/2 of :func:`_roots_of_unity`,
+    as contiguous read-only arrays (bitwise the same values)."""
+    roots = _roots_of_unity(n)[: n // 2]
+    cos, sin = np.ascontiguousarray(roots.real), np.ascontiguousarray(roots.imag)
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
 
 
 @lru_cache(maxsize=8)

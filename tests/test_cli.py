@@ -7,10 +7,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rectenna.cli
@@ -153,6 +154,15 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text() == direct
 
 
+def test_unwritable_output_path_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, ["design", "--budget", "0.1", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_bad_range_syntax_is_config_error(capsys):
     code, _, err = run_cli(capsys, ["sweep", "--fcut", "1e8-1e11-20"])
     assert code == 2
@@ -269,10 +279,87 @@ def test_cli_never_exits_zero_with_non_finite_output(command, knob, knob_value, 
     assert all(math.isfinite(float(cell)) for cell in cells), argv
 
 
+def _emit_reference(header, rows):
+    # the cell-by-cell CSV formatter that the one-pass _emit must reproduce
+    lines = [",".join(header)]
+    lines += [
+        ",".join(f"{v:.9g}" if type(v) is float else rectenna.cli._fmt(v) for v in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _emit_text(header, rows, output_format="csv", output_path=None):
+    config = rectenna.cli.RunConfig(
+        command="test",
+        kind=RectifierKind.FULL_WAVE,
+        amplitude=1.0,
+        fc=915e6,
+        resistance=2.0,
+        truncation=256,
+        output_format=output_format,
+        output_path=output_path,
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rectenna.cli._emit(header, rows, config)
+    return out.getvalue()
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e308, 1.0, 1e16, 123456789.5]
+CELLS = {
+    "float": st.one_of(
+        st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+    ),
+    "int": st.integers(-(2**63), 2**63),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=40))
+    return [f"c{j}" for j in range(len(kinds))], rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables())
+@example(table=(["a", "b"], [(v, i) for i, v in enumerate(EDGE_FLOATS)]))
+@example(table=(["a", "b", "c"], []))
+def test_emit_csv_matches_cell_by_cell_formatting(table):
+    header, rows = table
+    text = _emit_text(header, rows)
+    assert text == _emit_reference(header, rows)
+    if not rows:
+        assert text == ",".join(header) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=tables().filter(lambda t: t[1] and isinstance(t[1][0][0], float)),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    where=st.integers(0),
+)
+def test_emit_rejects_non_finite_cell_before_opening_output(table, bad, where):
+    header, rows = table
+    rows = [list(row) for row in rows]
+    rows[where % len(rows)][0] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        target = pathlib.Path(tmp) / "table.out"
+        for output_format in ("csv", "json"):
+            with pytest.raises(ValueError):
+                _emit_text(header, rows, output_format, str(target))
+            assert not target.exists()
+
+
 # stdout SHA-256 of each command, recorded before the FFT period-grid engine
 # replaced the per-harmonic loop; later speed-ups must keep these bytes.  The
 # 13.56 MHz sweep was re-recorded when its sampled ripple began to polish both
-# extrema by Newton's method (coarse grid), which moved only that column.
+# extrema by Newton's method (coarse grid), which moved only that column.  The
+# last three (a 3001-row trace on an unaligned window, a table with an int
+# column, and JSON output) were recorded before CSV tables were built by one
+# %-format pass.
 GOLDEN = {
     ("sweep", "--fcut", "1e8:1e11:50:log", "--fc", "13.56e6"):
         "5803f9ea894bdac82ba6549db5c0361c6d728444fe34bb427882c0928b10a041",
@@ -288,6 +375,13 @@ GOLDEN = {
         "d3a8a000751ef8dedc565799bb78e06214053ccf1bc0bdc8a9448e6b4d5f1089",
     ("trace", "--cap", "1e-10"):
         "d1fce3b4215e6c8431797ee23ffd06038d52cec37c0335bc2bb5b6082196e388",
+    ("trace", "--kind", "half", "--fc", "13.56e6", "--cap", "1e-10",
+     "--t", "1.234e-9:2.2e-7:3001"):
+        "89d2bab51f1d9f53ceaeed39174c2fed622a0774036d05570fbc9cdd4eafb232",
+    ("coeffs", "--k-max", "8"):
+        "8a9dc5d8c8c46da3957608ea7f6bcb90f40602774939050238b9709c8aadcee5",
+    ("sweep", "--fcut", "1e8:1e11:50:log", "--format", "json"):
+        "69ea3fb491f4e25552b3b1bea867869a5d97769bfd3d4123ddd8df9350cf2fb1",
 }
 
 
