@@ -75,11 +75,20 @@ def _json_value(value):
     return value
 
 
-def _emit(header: list[str], rows: Sequence[Sequence], config: RunConfig) -> None:
-    cells = list(itertools.chain.from_iterable(rows))
-    # finite inputs can still overflow (fc or rl near the float maximum);
-    # every cell is a number (int, bool or float), so isfinite takes them all
-    if not all(map(math.isfinite, cells)):
+def _emit(header: list[str], rows: Sequence[Sequence] | np.ndarray, config: RunConfig) -> None:
+    # finite inputs can still overflow (fc or rl near the float maximum), so
+    # every cell is checked before any --out file is opened.  An array (the
+    # trace table) is flattened and checked by one numpy call each; row
+    # sequences hold ints, bools and floats, all of which math.isfinite takes
+    if isinstance(rows, np.ndarray):
+        cells = rows.ravel().tolist()
+        finite = bool(np.isfinite(rows).all())
+        float_table = rows.dtype.kind == "f"
+    else:
+        cells = list(itertools.chain.from_iterable(rows))
+        finite = all(map(math.isfinite, cells))
+        float_table = False
+    if not finite:
         raise ValueError("result is not finite; an input is out of range")
     if config.output_format == "csv":
         # one %-format over all cells: "%.9g" is f"{v:.9g}" digit for digit, so
@@ -87,7 +96,7 @@ def _emit(header: list[str], rows: Sequence[Sequence], config: RunConfig) -> Non
         width = len(header)
         conversions = []
         for j in range(width):
-            if set(map(type, cells[j::width])) <= {float}:
+            if float_table or set(map(type, cells[j::width])) <= {float}:
                 conversions.append("%.9g")
             else:
                 cells[j::width] = map(_fmt, cells[j::width])
@@ -167,8 +176,8 @@ def _cmd_trace(args, config: RunConfig) -> int:
         ts = np.linspace(lo, hi, points)
     else:
         ts = np.arange(1024) * (2.0 / config.fc / 1024)
-    pairs = time_trace(config.kind, filt, config.amplitude, config.fc, ts, config.truncation)
-    _emit(["t_s", "v_o_v"], pairs, config)
+    table = time_trace(config.kind, filt, config.amplitude, config.fc, ts, config.truncation)
+    _emit(["t_s", "v_o_v"], table, config)
     return 0
 
 
@@ -311,8 +320,11 @@ def _validation_checks(fc: float, k_max: int):
 
 
 def _cmd_validate(args, config: RunConfig) -> int:
+    # every check runs before the first line is printed, so a check that
+    # raises (an out-of-range fc) leaves no partial report on stdout
+    checks = list(_validation_checks(config.fc, args.k_max))
     failures = 0
-    for name, ok, detail in _validation_checks(config.fc, args.k_max):
+    for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
         failures += 0 if ok else 1
     if failures:

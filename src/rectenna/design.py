@@ -268,14 +268,17 @@ def time_trace(
     fc: float,
     t_grid,
     truncation: int = DEFAULT_TRUNCATION,
-) -> list[tuple[float, float]]:
-    """Tabulate the filter output voltage over a time grid (for CSV export)."""
+) -> np.ndarray:
+    """Tabulate the filter output voltage over a time grid (for CSV export).
+
+    Returns a float64 ``(N, 2)`` array whose row i is ``(t_i, v_o(t_i))``.
+    The CLI's table writer flattens it in one pass, with no per-row tuples.
+    """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D array of times")
     fs = _output_series(kind, filt, amplitude, fc, truncation)
-    values = eval_filtered(fs, ts)
-    return list(zip(ts.tolist(), values.tolist()))
+    return np.column_stack((ts, eval_filtered(fs, ts)))
 
 
 def rectified_reference(

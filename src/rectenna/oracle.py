@@ -58,6 +58,16 @@ def _segment_panels(length: float, k: int, fc: float, refine: int) -> int:
     return refine * max(4, math.ceil(2.0 * oscillations))
 
 
+def _require_quadrature_range(fc: float, top_harmonic: int) -> None:
+    # past these the integrand's angle or the period overflows to inf, the
+    # integrand turns nan and the panel count cannot be formed
+    if not (math.isfinite(2.0 * math.pi * (top_harmonic + 1) * fc) and math.isfinite(1.0 / fc)):
+        raise ValueError(
+            f"fc = {fc!r} is out of the quadrature's range: "
+            f"2*pi*{top_harmonic + 1}*fc or 1/fc is not finite"
+        )
+
+
 def _quad_projection(kind: RectifierKind, k: int, fc: float, refine: int, use_sine: bool) -> float:
     if k < 0:
         raise ValueError(f"harmonic index must be >= 0, got {k}")
@@ -65,6 +75,7 @@ def _quad_projection(kind: RectifierKind, k: int, fc: float, refine: int, use_si
         raise ValueError(f"fc must be > 0, got {fc}")
     if refine < 1:
         raise ValueError(f"refine must be >= 1, got {refine}")
+    _require_quadrature_range(fc, k)
     w = 2.0 * math.pi * fc
     trig = np.sin if use_sine else np.cos
 
@@ -115,6 +126,9 @@ def quad_multisine_a0(kind: RectifierKind, fc: float, df: float, refine: int = 1
         raise ValueError(f"df must be >= 0, got {df}")
     if refine < 1:
         raise ValueError(f"refine must be >= 1, got {refine}")
+    _require_quadrature_range(fc, 0)
+    if not math.isfinite(math.pi * df):
+        raise ValueError(f"df = {df!r} is out of the quadrature's range: pi*df is not finite")
     w = 2.0 * math.pi * fc
 
     def integrand(t):

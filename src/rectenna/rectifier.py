@@ -174,10 +174,32 @@ def horner_coefficients(amplitudes) -> tuple[list, list]:
 
 
 def _horner(poly: list, wr, wi):
-    """``poly(w)`` by Horner's rule, with explicit real operations."""
-    ar = ai = 0.0
+    """``poly(w)`` by Horner's rule, with explicit real operations.
+
+    Each step is eight real operations, ``ar*wr - ai*wi + br`` then
+    ``ar*wi + ai*wr + bi``.  Python floats ``wr, wi`` give Python floats.
+    Arrays run each operation as one ufunc into four buffers allocated once
+    per call (the accumulator pair and two scratch arrays, rotated between
+    steps), so a step allocates nothing and rounds exactly as the scalar
+    path does.  An empty poly gives ``0.0, 0.0`` and allocates nothing.
+    """
+    if np.ndim(wr) == 0 or not poly:
+        ar = ai = 0.0
+        for br, bi in poly:
+            ar, ai = ar * wr - ai * wi + br, ar * wi + ai * wr + bi
+        return ar, ai
+    ar, ai = np.zeros_like(wr), np.zeros_like(wr)
+    s, t = np.empty_like(wr), np.empty_like(wr)
     for br, bi in poly:
-        ar, ai = ar * wr - ai * wi + br, ar * wi + ai * wr + bi
+        np.multiply(ar, wr, out=s)
+        np.multiply(ai, wi, out=t)
+        np.subtract(s, t, out=s)
+        np.add(s, br, out=s)  # s = ar*wr - ai*wi + br
+        np.multiply(ar, wi, out=t)
+        np.multiply(ai, wr, out=ar)
+        np.add(t, ar, out=ar)
+        np.add(ar, bi, out=ar)  # ar's buffer = ar*wi + ai*wr + bi
+        ar, ai, s = s, ar, ai
     return ar, ai
 
 
@@ -185,10 +207,11 @@ def harmonic_sum(horner: tuple[list, list], fc: float, t):
     """``Re sum_k c_k exp(j 2 pi k fc t)`` at time(s) t, c_k as in :func:`horner_coefficients`.
 
     One cos/sin pair per time, then K/2 complex multiply-adds by Horner's
-    rule.  Every step is written as separate real operations, so a scalar t
-    (Python floats, returning a float) and an array t (one ufunc per
-    operation) round identically; numpy's complex multiply may fuse them
-    and would not.
+    rule (:func:`_horner`).  Every step is written as separate real
+    operations, so a scalar t (Python floats, returning a float) and an
+    array t (one ufunc per operation, into buffers reused across the steps)
+    round identically, whatever t's position in the array; numpy's complex
+    multiply may fuse them and would not.
     """
     w = 2.0 * np.pi * fc
     if np.ndim(t) == 0:
@@ -196,7 +219,7 @@ def harmonic_sum(horner: tuple[list, list], fc: float, t):
         c, s = float(np.cos(theta)), float(np.sin(theta))
     else:
         theta = w * np.asarray(t, dtype=float)
-        c, s = np.cos(theta), np.sin(theta)
+        c, s = np.cos(theta), np.sin(theta, out=theta)  # cos reads theta first
     wr, wi = c * c - s * s, 2.0 * c * s  # z^2
     p_re, p_im = _horner(horner[0], wr, wi)
     q_re, q_im = _horner(horner[1], wr, wi)

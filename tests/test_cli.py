@@ -235,6 +235,23 @@ def test_non_finite_or_unreachable_input_is_config_error(capsys, argv):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multisine-a0", "--df", "1e300", "--fc", "1e308"],  # printed a0_quad = 0, exit 0
+        ["coeffs", "--k-max", "2", "--fc", "1e308"],
+        ["coeffs", "--k-max", "2", "--fc", "1e-310"],
+        ["validate", "--fc", "1e308"],
+    ],
+)
+def test_quadrature_out_of_range_carrier_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: fc = ")
+    assert err.count("\n") == 1
+
+
 def test_overflowing_input_prints_one_error_line():
     # numpy overflow warnings must not precede the error the CLI reports
     src = pathlib.Path(rectenna.cli.__file__).parents[1]
@@ -353,13 +370,45 @@ def test_emit_rejects_non_finite_cell_before_opening_output(table, bad, where):
             assert not target.exists()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(0, 40),
+    width=st.integers(1, 4),
+    data=st.data(),
+)
+def test_emit_takes_a_float_array_as_its_rows(rows, width, data):
+    # a trace table arrives as an (N, width) array and must print exactly as
+    # the same cells given as rows of Python floats
+    values = data.draw(st.lists(CELLS["float"], min_size=rows * width, max_size=rows * width))
+    table = np.array(values, dtype=float).reshape(rows, width)
+    header = [f"c{j}" for j in range(width)]
+    for output_format in ("csv", "json"):
+        assert _emit_text(header, table, output_format) == _emit_text(
+            header, table.tolist(), output_format
+        )
+    if rows:
+        bad = table.copy()
+        bad.flat[data.draw(st.integers(0, bad.size - 1))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            target = pathlib.Path(tmp) / "table.out"
+            for output_format in ("csv", "json"):
+                with pytest.raises(ValueError):
+                    _emit_text(header, bad, output_format, str(target))
+                assert not target.exists()
+
+
 # stdout SHA-256 of each command, recorded before the FFT period-grid engine
 # replaced the per-harmonic loop; later speed-ups must keep these bytes.  The
 # 13.56 MHz sweep was re-recorded when its sampled ripple began to polish both
 # extrema by Newton's method (coarse grid), which moved only that column.  The
-# last three (a 3001-row trace on an unaligned window, a table with an int
+# next three (a 3001-row trace on an unaligned window, a table with an int
 # column, and JSON output) were recorded before CSV tables were built by one
-# %-format pass.
+# %-format pass.  The last two (a JSON trace, and validate at 13.56 MHz, whose
+# sampled mean and golden-section search run the evaluator on 8192-point
+# arrays and on scalars) were recorded before the trace table became an array
+# and the Horner kernel began to reuse its buffers.
 GOLDEN = {
     ("sweep", "--fcut", "1e8:1e11:50:log", "--fc", "13.56e6"):
         "5803f9ea894bdac82ba6549db5c0361c6d728444fe34bb427882c0928b10a041",
@@ -382,6 +431,10 @@ GOLDEN = {
         "8a9dc5d8c8c46da3957608ea7f6bcb90f40602774939050238b9709c8aadcee5",
     ("sweep", "--fcut", "1e8:1e11:50:log", "--format", "json"):
         "69ea3fb491f4e25552b3b1bea867869a5d97769bfd3d4123ddd8df9350cf2fb1",
+    ("trace", "--cap", "1e-10", "--format", "json", "--t", "1.234e-9:2.2e-7:301"):
+        "fd77670635b9ad3ee804e3e6965c2be38734c598c7ce7cbd91e0ed68cfd159b5",
+    ("validate", "--fc", "13.56e6"):
+        "da217d9bd4ba9bacfb489e0b9315895ebd297a49a8f859ccc4c660305d7478c6",
 }
 
 

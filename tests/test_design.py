@@ -15,7 +15,9 @@ from rectenna import (
     build_series,
     dc_limits,
     dc_voltage,
+    eval_filtered,
     eval_series,
+    filtered_series,
     make_grid,
     max_ripple,
     optimize_capacitance,
@@ -320,3 +322,17 @@ def test_trace_mean_equals_dc_voltage():
 def test_trace_rejects_empty_grid():
     with pytest.raises(ValueError):
         time_trace(FULL, RcFilter.from_cutoff(RL, 1e9), 1.0, FC, [])
+
+
+@pytest.mark.parametrize("kind,filt", [(FULL, RcFilter(RL, 0.0)), (HALF, RcFilter(3.1, 1e-10))])
+def test_trace_is_a_float_array_of_time_value_rows(kind, filt):
+    # unaligned window; each row must be bitwise the scalar evaluation at t_i
+    ts = np.linspace(1.234e-9, 2.2e-7, 301)
+    table = time_trace(kind, filt, 1.3, 13.56e6, ts, 64)
+    assert isinstance(table, np.ndarray)
+    assert table.dtype == np.float64 and table.shape == (301, 2)
+    scale = amplification_factor(filt, 13.56e6) * 1.3
+    fs = filtered_series(build_series(kind, 64, scale=scale, fc=13.56e6), filt)
+    for (t, v), t_i in zip(table.tolist(), ts.tolist()):
+        assert t == t_i
+        assert v == eval_filtered(fs, t_i)

@@ -77,6 +77,27 @@ def test_quadrature_input_validation():
         quad_coefficient(FULL, 2, refine=0)
 
 
+@pytest.mark.parametrize("fc", [1e308, 1e-310, 5e-324, math.nan])
+def test_quadrature_rejects_carriers_it_cannot_resolve(fc):
+    # 2 pi fc or 1/fc overflows: the integrand would be nan and drop out
+    for call in (
+        lambda: quad_coefficient(FULL, 0, fc=fc),
+        lambda: quad_b_coefficient(HALF, 2, fc=fc),
+        lambda: quad_multisine_a0(FULL, fc, 0.0),
+    ):
+        with pytest.raises(ValueError, match="fc"):
+            call()
+
+
+def test_quadrature_rejects_overflowing_harmonic_angle():
+    fc = 1e306
+    assert math.isfinite(quad_coefficient(FULL, 2, fc=fc))
+    with pytest.raises(ValueError, match="fc"):
+        quad_coefficient(FULL, 100, fc=fc)
+    with pytest.raises(ValueError, match="df"):
+        quad_multisine_a0(FULL, 1.0, 1e308)
+
+
 def test_multisine_quadrature_matches_closed_form():
     fc = 915e6
     for kind in (FULL, HALF):

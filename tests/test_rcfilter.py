@@ -516,6 +516,28 @@ def test_scalar_evaluation_is_bitwise_the_array_path(kind, truncation, cutoff, f
     assert scalar == eval_filtered(fs, np.array([t]))[0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=KINDS,
+    truncation=st.integers(1, 600),
+    cutoff=CUTOFFS,
+    fc=st.floats(min_value=1e5, max_value=1e11),
+    t=st.floats(min_value=-1e3, max_value=1e3),
+    others=st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=63),
+    where=st.integers(0),
+)
+def test_scalar_evaluation_is_bitwise_any_array_element(
+    kind, truncation, cutoff, fc, t, others, where
+):
+    # the array kernel writes into reused buffers; no element may round
+    # differently for its position in the array or for its neighbours
+    fs = output_series(kind, RcFilter.from_cutoff(2.0, cutoff), 1.5, fc, truncation)
+    i = where % (len(others) + 1)
+    ts = np.array(others[:i] + [t] + others[i:])
+    assert eval_filtered(fs, t) == eval_filtered(fs, ts)[i]
+    assert eval_series(fs.base, t) == eval_series(fs.base, ts)[i]
+
+
 @pytest.mark.parametrize("cutoff", [1e8, 1e9])
 def test_analytic_ripple_reads_below_sampled_peak(cutoff):
     # the direction the ripple_peak docstring and the README state

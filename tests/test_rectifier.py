@@ -14,6 +14,7 @@ from rectenna import (
     multisine_a0,
     rectify,
 )
+from rectenna.rectifier import _horner, harmonic_sum
 
 FULL = RectifierKind.FULL_WAVE
 HALF = RectifierKind.HALF_WAVE
@@ -224,3 +225,46 @@ def test_doubling_property(k):
 def test_coefficients_bitwise_equal_scalar_rule(kind, truncation):
     expected = np.array([fourier_coefficient(kind, k) for k in range(1, truncation + 1)])
     assert coefficients(kind, truncation).tobytes() == expected.tobytes()
+
+
+def _horner_reference(poly, wr, wi):
+    # the one-line Horner step that allocates its temporaries per operation
+    ar = ai = 0.0
+    for br, bi in poly:
+        ar, ai = ar * wr - ai * wi + br, ar * wi + ai * wr + bi
+    return ar, ai
+
+
+COEFFS = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(min_value=-2.0, max_value=2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    poly=st.lists(st.tuples(COEFFS, COEFFS), max_size=12),
+    angles=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=24),
+    rows=st.sampled_from([1, 2, 3]),
+)
+def test_horner_buffers_match_the_allocating_expression(poly, angles, rows):
+    # a 2-D grid of phasors, as a 2-D t gives; signed zeros must survive too
+    theta = np.array(angles * rows).reshape(rows, -1)
+    wr, wi = np.cos(theta), np.sin(theta)
+    got = _horner(poly, wr, wi)
+    want = _horner_reference(poly, wr, wi)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    assert _horner_reference(poly, 0.3, -0.7) == _horner(poly, 0.3, -0.7)
+
+
+def test_horner_empty_polynomial_and_two_dimensional_t():
+    # full wave at K = 1: a_1 = 0, so both Horner polynomials are empty
+    series = build_series(FULL, 1, scale=1.0, fc=915e6)
+    assert series.horner == ([], [])
+    ts = np.arange(12.0).reshape(3, 4) * 1e-10
+    out = harmonic_sum(series.horner, 915e6, ts)
+    assert out.shape == (3, 4)
+    assert not np.any(out)
+    assert np.array_equal(eval_series(series, ts), np.full((3, 4), 2.0 / math.pi))
+    half = build_series(HALF, 64, scale=1.0, fc=915e6)
+    flat = eval_series(half, ts.ravel())
+    assert eval_series(half, ts).tobytes() == flat.reshape(3, 4).tobytes()
