@@ -25,6 +25,7 @@ from .oracle import (
     quad_coefficient,
     quad_multisine_a0,
     sample_stats,
+    steady_state,
 )
 from .rcfilter import (
     FilteredSeries,
@@ -99,6 +100,7 @@ __all__ = [
     "ripple_peak",
     "sample_stats",
     "sampled_ripple",
+    "steady_state",
     "sweep_cutoff",
     "time_trace",
     "transfer",

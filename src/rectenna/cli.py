@@ -35,6 +35,7 @@ from .rectifier import (
     DEFAULT_TRUNCATION,
     RectifierKind,
     build_series,
+    coefficient_tail,
     eval_series,
     fourier_coefficient,
     multisine_a0,
@@ -272,11 +273,16 @@ def _validation_checks(fc: float, k_max: int):
         dcerr = max(dcerr, abs(stats.mean - ref) / abs(ref))
     yield "dc_equals_sampled_mean", dcerr < 1e-9, f"max rel err={dcerr:.3e}"
 
+    ok, worst = _steady_state_check(fc)
+    yield "filtered_vs_steady_state", ok, f"max err/truncation bound={worst:.3f}"
+
     filt0 = RcFilter(2.0, 0.0)
     base = build_series(full, 256, scale=1.0, fc=fc)
     fs0 = filtered_series(base, filt0)
     ts = np.arange(1000) * (1.0 / fc / 1000)
     ierr = float(np.max(np.abs(eval_filtered(fs0, ts) - filt0.resistance * eval_series(base, ts))))
+    # each series caches its Taylor table; free them before the K = 1024 one
+    del fs, base, fs0
     yield "unfiltered_identity", ierr < 1e-12, f"max|diff|={ierr:.3e}"
 
     rp = ripple_peak(full, filt0, 1.0, fc, 256)
@@ -317,6 +323,27 @@ def _validation_checks(fc: float, k_max: int):
         for k in (1, 3, 8)
     )
     yield "harmonic_sample_mean_zero", herr < 1e-12, f"max|mean|={herr:.3e}"
+
+
+def _steady_state_check(fc: float) -> tuple[bool, float]:
+    """The series against the filter's time-domain steady state at off-grid
+    times, for seeded filters of both rectifiers: apart from roundoff they
+    differ by at most the truncation tail.  Returns (ok, worst err/bound).
+    """
+    rng = np.random.default_rng(20261018)
+    ok, worst = True, 0.0
+    for kind in RectifierKind:
+        for _ in range(3):
+            filt = RcFilter(float(rng.uniform(0.5, 20.0)), float(10 ** rng.uniform(-13, -10)))
+            scale = amplification_factor(filt, fc) * float(rng.uniform(0.2, 3.0))
+            fs = filtered_series(build_series(kind, 256, scale=scale, fc=fc), filt)
+            ts = rng.uniform(0.0, 1.0 / fc, 1000)
+            exact = oracle.steady_state(kind, filt.resistance, scale, fc, filt.tau, ts)
+            err = float(np.max(np.abs(eval_filtered(fs, ts) - exact)))
+            bound = scale * filt.resistance * coefficient_tail(kind, 256)
+            ok = ok and err <= bound + 1e-13 * scale * filt.resistance
+            worst = max(worst, err / bound)
+    return ok, worst
 
 
 def _cmd_validate(args, config: RunConfig) -> int:

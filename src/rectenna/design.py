@@ -21,7 +21,6 @@ from .rcfilter import (
     filter_response,
     filtered_series,
     grid_extrema,
-    harmonic_amplitudes,
     period_extrema,
     require_finite_positive,
     ripple_peak,
@@ -173,12 +172,12 @@ def sweep_cutoff(
 def _sweep_block(kind, cutoffs, filters, amplitude, fc, truncation, samples) -> list[SweepRow]:
     resistance = filters[0].resistance
     scales = [amplification_factor(filt, fc) * amplitude for filt in filters]
-    atten, gains, phases = filter_response(
+    atten, transfers = filter_response(
         resistance, fc, [filt.tau for filt in filters], truncation
     )
     peaks = aligned_peaks(kind, scales, resistance, atten).tolist()
 
-    amps = harmonic_amplitudes(coefficients(kind, truncation), gains, phases)
+    amps = coefficients(kind, truncation) * transfers
     dc = 0.5 * fourier_coefficient(kind, 0) * resistance
     vmaxs, vmins = grid_extrema(amps, scales, dc, fc, samples)
     rows = []

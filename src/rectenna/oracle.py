@@ -2,9 +2,11 @@
 
 Everything here avoids the analytic coefficient formulas on purpose: the
 Fourier coefficients are recomputed by composite Gauss-Legendre quadrature
-with panels aligned to the kinks of the rectified waveform, and waveform
-statistics come from dense uniform sampling.  Panel and sample reductions
-use a fixed order, so results are deterministic.
+with panels aligned to the kinks of the rectified waveform, the filter
+output comes from the time-domain steady state of the RC filter's
+differential equation, and waveform statistics come from dense uniform
+sampling.  Panel and sample reductions use a fixed order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "quad_coefficient",
     "quad_b_coefficient",
     "quad_multisine_a0",
+    "steady_state",
     "sample_stats",
 ]
 
@@ -145,6 +148,62 @@ def quad_multisine_a0(kind: RectifierKind, fc: float, df: float, refine: int = 1
     for lo, hi in zip(edges[:-1], edges[1:]):
         total += _integrate(integrand, lo, hi, refine * 16)
     return fc * total
+
+
+def steady_state(kind: RectifierKind, resistance: float, scale: float, fc: float, tau: float, t):
+    """Periodic solution of ``tau v' + v = R S g(cos(2 pi fc t))`` at time(s) t.
+
+    The RC filter's output for a rectified carrier of peak S, found in the
+    time domain with no series.  On a conduction interval the solution is
+    the particular sinusoid ``v_p = R S (cos + w sin)(2 pi psi) / (1 + w^2)``
+    plus a decaying exponential, where ``w = 2 pi fc tau``, ``a = 1 / (fc
+    tau)`` is the carrier period in time constants and ``psi`` is the phase
+    in periods, taken in ``[-1/4, 1/4)`` on conduction.  Periodicity fixes the
+    exponential as ``E(s) = P exp(-s a)``, ``s`` in ``[0, 1/2]``, with
+    ``P = R S w / ((1 + w^2)(1 - exp(-a/2)))``:
+
+    - full wave (period 1/2): ``v = v_p(psi) + 2 E(psi + 1/4)``;
+    - half wave: ``v_p(psi) + E(psi + 1/4)`` on conduction, and the decay
+      ``E(psi - 1/4)`` for ``psi`` in ``[1/4, 3/4)``.
+
+    ``1 - exp(-a/2)`` is taken by ``expm1`` and every exponent is <= 0, so
+    no branch overflows.  tau = 0 gives ``R S g(cos(2 pi fc t))``.
+    """
+    for name, value in (("resistance", resistance), ("fc", fc)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    for name, value in (("scale", scale), ("tau", tau), ("fc*tau", fc * tau)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    peak = resistance * scale
+    phase = np.remainder(np.multiply(fc, t, dtype=float), 1.0)
+    a = 1.0 / (fc * tau) if fc * tau else math.inf
+    if a == math.inf:
+        return peak * rectify(kind, np.cos(2.0 * math.pi * phase))
+    # w = 2 pi / a.  The weights are written so that neither a tiny nor a
+    # huge a overflows them: w / (1 + w^2) = 1 / (w + 1/w), and P divides
+    # by (w + 1/w) q = 2 pi q / a + q a / (2 pi), with q = 1 - exp(-a/2)
+    w = 2.0 * math.pi / a
+    q = -math.expm1(-0.5 * a)
+    cos_weight = peak / (1.0 + w * w)
+    sin_weight = peak / (w + a / (2.0 * math.pi))
+    decay_weight = peak / (2.0 * math.pi * q / a + q * a / (2.0 * math.pi))
+
+    def sinusoid(psi):
+        angle = 2.0 * math.pi * psi
+        return cos_weight * np.cos(angle) + sin_weight * np.sin(angle)
+
+    def decay(s):
+        return decay_weight * np.exp(-a * s)
+
+    if kind is RectifierKind.FULL_WAVE:
+        psi = np.remainder(phase + 0.25, 0.5) - 0.25
+        return sinusoid(psi) + 2.0 * decay(psi + 0.25)
+    psi = np.remainder(phase + 0.25, 1.0) - 0.25
+    conducting = psi < 0.25
+    return np.where(conducting, sinusoid(psi), 0.0) + decay(
+        np.where(conducting, psi + 0.25, psi - 0.25)
+    )
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,11 @@ the c_1 term and the grid live in per-thread scratch arrays that later calls
 reuse.  :func:`period_samples` and :func:`period_extrema` are the one-row
 case.  Where that grid is coarser than 1e-12 s, :func:`grid_extrema`
 Newton-polishes both its extrema on the exact trig polynomial; finer grids
-keep their grid extrema.  :func:`eval_filtered` serves arbitrary times: it
-evaluates the series as a polynomial in the phasor ``exp(j 2 pi fc t)`` by
-Horner's rule.
+keep their grid extrema.  :func:`eval_filtered` serves arbitrary times from
+a Taylor table (:func:`taylor_table`): one period grid whose D + 1 rows are
+the series' first D + 1 Taylor coefficients at every grid phase, built once
+per series.  A time is then a table lookup at the nearest grid phase and a
+degree-D polynomial in the offset from it.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from .rectifier import (
     RectifierKind,
     coefficients,
     fourier_coefficient,
-    harmonic_sum,
-    horner_coefficients,
     require_finite_positive,
+    table_sum,
 )
 
 __all__ = [
@@ -49,8 +50,8 @@ __all__ = [
     "transfer",
     "filter_response",
     "filtered_series",
-    "harmonic_amplitudes",
     "eval_filtered",
+    "taylor_table",
     "period_grid",
     "grid_extrema",
     "period_samples",
@@ -65,8 +66,12 @@ __all__ = [
 
 # grids coarser than this (seconds per sample) get Newton-polished extrema
 _POLISH_SPACING = 1e-12
-# Taylor tail the local polynomial drops, relative to sum_k |c_k|
+# Taylor tail a local polynomial or table drops, relative to sum_k |c_k|
 _TAYLOR_TAIL = 1e-17
+# grid samples per block of Taylor table rows built by one inverse FFT: a
+# block's work arrays hold ~100 KB whatever the table's size, so a K = 1024
+# table peaks at ~1.3x its own 590 KB while built, against ~2x with 1 << 15
+_TABLE_BLOCK_CELLS = 1 << 13
 # Newton on the local polynomial: step cap, and the step (in grid steps)
 # below which the next one would move the value by less than roundoff
 _NEWTON_STEPS = 8
@@ -154,41 +159,55 @@ def _attenuation(wt: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 + wt * wt)
 
 
+def _transfers(resistance: float, wt: np.ndarray) -> np.ndarray:
+    """``H = R / (1 + j wt)`` for an :func:`_omega_tau` matrix, read-only.
+
+    The denominator is assembled from its parts: ``1j * wt`` would hold
+    ``0 * inf = nan`` where wt overflows, and H is 0 there.
+    """
+    denominator = np.empty(wt.shape, dtype=complex)
+    denominator.real = 1.0
+    denominator.imag = wt
+    transfers = resistance / denominator
+    transfers.setflags(write=False)
+    return transfers
+
+
 def filter_response(
     resistance: float, fc: float, taus: list[float], truncation: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The filter at harmonics k = 1..K of ``fc``, one row per time constant.
 
-    Returns three read-only ``(m, K)`` matrices: the attenuation
-    ``sqrt(1 + (2 pi k fc tau)^2)``, the gain ``|H(k fc)| = R / attenuation``
-    and the phase ``angle H(k fc) = atan(-2 pi k fc tau)``.
+    Returns two read-only ``(m, K)`` matrices: the attenuation
+    ``sqrt(1 + (2 pi k fc tau)^2)``, which only :func:`aligned_peaks` needs,
+    and the complex transfer ``H(k fc) = R / (1 + j 2 pi k fc tau)``.
     """
     wt = _omega_tau(fc, taus, truncation)
     atten = _attenuation(wt)
-    gains = resistance / atten
-    phases = np.arctan(-wt)
-    for matrix in (atten, gains, phases):
-        matrix.setflags(write=False)
-    return atten, gains, phases
-
-
-def harmonic_amplitudes(ak: np.ndarray, gains: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Complex amplitudes ``a_k |H(k fc)| exp(j angle H(k fc))``, row by row."""
-    return (gains * ak) * np.exp(1j * phases)
+    atten.setflags(write=False)
+    return atten, _transfers(resistance, wt)
 
 
 @dataclass(frozen=True)
 class FilteredSeries:
-    """A rectified series with the per-harmonic filter gain and phase attached.
+    """A rectified series with the per-harmonic filter transfer attached.
 
-    ``gains[i]`` and ``phase_shifts[i]`` are ``|H(k fc)|`` and ``angle H(k fc)``
-    for harmonic ``k = i + 1``.
+    ``transfers[i]`` is the complex ``H(k fc)`` for harmonic ``k = i + 1``.
     """
 
     base: FourierSeries
     filt: RcFilter
-    gains: np.ndarray
-    phase_shifts: np.ndarray
+    transfers: np.ndarray
+
+    @property
+    def gains(self) -> np.ndarray:
+        """``|H(k fc)|`` for k = 1..K."""
+        return np.abs(self.transfers)
+
+    @property
+    def phase_shifts(self) -> np.ndarray:
+        """``angle H(k fc)`` for k = 1..K."""
+        return np.angle(self.transfers)
 
     @property
     def dc_level(self) -> float:
@@ -197,25 +216,23 @@ class FilteredSeries:
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
-        """:func:`harmonic_amplitudes` of this series, read-only."""
-        amps = harmonic_amplitudes(self.base.ak, self.gains, self.phase_shifts)
+        """Complex amplitudes ``c_k = a_k H(k fc)``, read-only."""
+        amps = self.base.ak * self.transfers
         amps.setflags(write=False)
         return amps
 
     @cached_property
-    def horner(self) -> tuple[list, list]:
-        """:func:`rectenna.rectifier.horner_coefficients` of :attr:`amplitudes`."""
-        return horner_coefficients(self.amplitudes)
+    def table(self) -> np.ndarray:
+        """:func:`taylor_table` of :attr:`amplitudes`, built on first use."""
+        return taylor_table(self.amplitudes, self.base.fundamental_fc)
 
 
 def filtered_series(series: FourierSeries, filt: RcFilter) -> FilteredSeries:
-    """Attach ``|H(k fc)|`` and ``angle H(k fc)`` for k = 1..K."""
+    """Attach ``H(k fc)`` for k = 1..K."""
     if series.fundamental_fc <= 0:
         raise ValueError("series fundamental frequency must be > 0")
-    _, gains, phases = filter_response(
-        filt.resistance, series.fundamental_fc, [filt.tau], series.truncation
-    )
-    return FilteredSeries(base=series, filt=filt, gains=gains[0], phase_shifts=phases[0])
+    wt = _omega_tau(series.fundamental_fc, [filt.tau], series.truncation)
+    return FilteredSeries(base=series, filt=filt, transfers=_transfers(filt.resistance, wt)[0])
 
 
 def eval_filtered(fs: FilteredSeries, t):
@@ -223,19 +240,26 @@ def eval_filtered(fs: FilteredSeries, t):
 
     ``scale * (a0 R / 2 + sum_k |H(k fc)| a_k cos(2 pi k fc t + angle H(k fc)))``
     (the per-harmonic sign of ``a_k`` absorbs the 0/pi rectifier phase).
-    The sum is ``Re sum_k c_k z^k`` in the phasor ``z = exp(j 2 pi fc t)``,
-    with ``c_k`` = :attr:`FilteredSeries.amplitudes`, evaluated by Horner's
-    rule (:func:`rectenna.rectifier.harmonic_sum`): one cos/sin pair per
-    time, not one cos per harmonic.  A scalar t returns a float, bitwise
-    equal to the array path's element.
+    The sum is ``Re sum_k c_k exp(j 2 pi k fc t)`` with ``c_k`` =
+    :attr:`FilteredSeries.amplitudes`, read from the series' Taylor table
+    (:func:`rectenna.rectifier.table_sum`): a lookup at the nearest of n
+    grid phases and D + 1 multiply-adds per time, whatever K.  A scalar t
+    returns a float, bitwise equal to the array path's element.  Raises
+    ``ValueError`` where ``2 pi K fc`` is not a finite float.
     """
     base = fs.base
     dc = 0.5 * base.a0 * fs.filt.resistance
-    return base.scale * (dc + harmonic_sum(fs.horner, base.fundamental_fc, t))
+    return base.scale * (dc + table_sum(fs.table, base.fundamental_fc, t))
+
+
+def _work_arrays(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """New spectrum and c_1-term arrays for a ``(rows, n)`` grid."""
+    points = n // 2 if n % 2 == 0 else n
+    return np.empty((rows, points // 2 + 1), dtype=complex), np.empty((rows, n // 2))
 
 
 def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's spectrum, c_1-term and grid arrays for a ``(rows, n)`` grid.
+    """This thread's :func:`_work_arrays` and grid for a ``(rows, n)`` grid.
 
     Kept for the last few shapes used, oldest dropped first.
     """
@@ -244,12 +268,7 @@ def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if key not in spaces:
         if len(spaces) >= _SCRATCH_SHAPES:
             del spaces[next(iter(spaces))]
-        points = n // 2 if n % 2 == 0 else n
-        spaces[key] = (
-            np.empty((rows, points // 2 + 1), dtype=complex),
-            np.empty((rows, n // 2)),
-            np.empty((rows, n)),
-        )
+        spaces[key] = (*_work_arrays(rows, n), np.empty((rows, n)))
     return spaces[key]
 
 
@@ -272,18 +291,19 @@ def _fold_one_sided(spectrum: np.ndarray, placed: np.ndarray, points: int) -> No
             spectrum[:, start + points - hi + 1 : start + points - mid + 1] += mirrored
 
 
-def _grid_into_scratch(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray:
-    """:func:`period_grid`, written into this thread's scratch grid and returned.
-
-    The result is overwritten by the next call on this thread with the same
-    shape, so callers read it before calling again.
-    """
+def _check_grid(amplitudes: np.ndarray, n: int) -> None:
+    # the arguments period_grid refuses
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     if np.any(amplitudes[:, 2::2]):
         raise ValueError("odd harmonics k >= 3 must be zero, as the rectifier's are")
-    rows = amplitudes.shape[0]
-    spectrum, fundamental, grid = _scratch(rows, n)
+
+
+def _fill_grid(amplitudes: np.ndarray, scales, dc: float, n: int, spectrum, fundamental, grid):
+    """:func:`period_grid` of arguments :func:`_check_grid` passed, written
+    into the ``(rows, n)`` array ``grid`` and returned, with
+    :func:`_work_arrays` ``spectrum`` and ``fundamental``.
+    """
     scales = np.asarray(scales, dtype=float)
     even = n % 2 == 0
     # even n: harmonic 2j is frequency j on the half grid; odd n: the full one
@@ -328,9 +348,59 @@ def period_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray
     two half periods.  Odd n folds every harmonic the same way at length n.
     Harmonics alias exactly on the grid, so every n >= 2 gives
     :func:`eval_filtered`'s values up to roundoff, and each row is bitwise
-    what it would be alone.
+    what it would be alone.  The result is a new array; the thread's scratch
+    arrays are left as they are.
     """
-    return _grid_into_scratch(amplitudes, scales, dc, n).copy()
+    _check_grid(amplitudes, n)
+    rows = amplitudes.shape[0]
+    return _fill_grid(amplitudes, scales, dc, n, *_work_arrays(rows, n), np.empty((rows, n)))
+
+
+def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
+    """Taylor table of ``Re sum_k c_k exp(j k theta)`` on n grid phases, read-only.
+
+    ``c_k = amplitudes[k - 1]``, k = 1..K.  Row p, column i is ``r_p(i) =
+    Re sum_k c_k w^(i k) (j k h)^p / p!`` with ``w = exp(j h)``, ``h = 2 pi
+    / n`` and n the least power of two >= 4K, so that ``sum_p r_p(i) u^p``
+    is the sum at ``theta = (i + u) h``.  D is the first degree whose
+    dropped tail for ``|u| <= 1/2`` is below 1e-17 of ``sum_k |c_k|``
+    (:func:`_taylor_degree`); D = 17 at K = 256, n = 1024.  The D + 1 rows
+    are the :func:`period_grid` of the amplitudes ``c_k (j k h)^p / p!``,
+    whose odd harmonics k >= 3 stay zero.
+    :func:`rectenna.rectifier.table_sum` evaluates it.  Raises
+    ``ValueError`` where ``2 pi K fc`` is not a finite float: the top
+    harmonic of a carrier ``fc`` has no angular frequency there.
+
+    Blocks of rows share one set of FFT work arrays, so a large table costs
+    little more than its own size while built.
+    """
+    truncation = amplitudes.shape[0]
+    if not math.isfinite(2.0 * math.pi * truncation * fc):
+        raise ValueError("result is not finite; an input is out of range")
+    n = 1 << (4 * truncation - 1).bit_length()
+    _check_grid(amplitudes[None, :], n)
+    h = 2.0 * np.pi / n
+    degree = _taylor_degree(0.5 * truncation * h)
+    # row p of the amplitudes is c_k j^p (k h)^p / p!: a running product
+    # gives the real (k h)^p / p!, and multiplying by j^p is exact
+    kh = h * np.arange(1, truncation + 1)
+    magnitude = np.ones(truncation)
+    table = np.empty((degree + 1, n))
+    block = min(degree + 1, max(1, _TABLE_BLOCK_CELLS // n))
+    spectrum, fundamental = _work_arrays(block, n)
+    rows = np.empty((block, truncation), dtype=complex)
+    ones = np.ones(block)
+    for start in range(0, degree + 1, block):
+        stop = min(start + block, degree + 1)
+        for p in range(start, stop):
+            if p:
+                magnitude *= kh
+                magnitude /= p
+            np.multiply(amplitudes, (1.0, 1j, -1.0, -1j)[p % 4] * magnitude, out=rows[p - start])
+        m = stop - start
+        _fill_grid(rows[:m], ones[:m], 0.0, n, spectrum[:m], fundamental[:m], table[start:stop])
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=8)
@@ -359,22 +429,32 @@ def _half_period_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
+def _taylor_degree(x: float) -> int:
+    """The degree D at which a Taylor expansion in ``u`` is cut, ``x = K h |u|``.
+
+    For ``sum_k b_k exp(j k (theta + u h))`` the terms beyond degree D add
+    at most ``sum_k |b_k|`` times ``sum_{p > D} x^p / p!``.  D is the first
+    degree where that sum's geometric bound, ``x^(D+1) / (D+1)!`` over
+    ``1 - x / (D+2)``, is below 1e-17.
+    """
+    degree, term = 0, x
+    while term >= _TAYLOR_TAIL * (1.0 - x / (degree + 2)):
+        degree += 1
+        term *= x / (degree + 1)
+    return degree
+
+
 @lru_cache(maxsize=8)
 def _taylor_table(truncation: int, n: int) -> np.ndarray:
     """Real ``(2K, D + 1)`` Taylor matrix W, read-only, for ``h = 2 pi / n``.
 
     For complex ``b_1 .. b_K``, ``(b.view(float) @ W)[p]`` is
     ``Re sum_k b_k (j k h)^p / p!``: rows 2(k-1) and 2(k-1) + 1 hold the
-    real part and the negated imaginary part of ``(j k h)^p / p!``.  D is the
-    first degree with ``(K h)^(D+1) / (D+1)! < 1e-17``, so the Taylor tail
-    dropped for |u| <= 1 is below 1e-17 of ``sum_k |b_k|``.
+    real part and the negated imaginary part of ``(j k h)^p / p!``.  D is
+    :func:`_taylor_degree` for |u| <= 1.
     """
     h = 2.0 * np.pi / n
-    x = truncation * h
-    degree, term = 0, x
-    while term >= _TAYLOR_TAIL:
-        degree += 1
-        term *= x / (degree + 1)
+    degree = _taylor_degree(truncation * h)
     kh = h * np.arange(1, truncation + 1)
     powers = np.empty((truncation, degree + 1), dtype=complex)
     powers[:, 0] = 1.0
@@ -440,7 +520,9 @@ def grid_extrema(
     precision, and the grid extremum need not sit one step from the exact
     one.  Each row is bitwise what it would be alone.
     """
-    values = _grid_into_scratch(amplitudes, scales, dc, n)
+    _check_grid(amplitudes, n)
+    # this thread's scratch grid, which the next call overwrites
+    values = _fill_grid(amplitudes, scales, dc, n, *_scratch(amplitudes.shape[0], n))
     vmaxs, vmins = values.max(axis=1).tolist(), values.min(axis=1).tolist()
     if (1.0 / fc) / n <= _POLISH_SPACING or n < 2 * amplitudes.shape[1]:
         return vmaxs, vmins

@@ -29,8 +29,8 @@ __all__ = [
     "fourier_coefficient",
     "coefficients",
     "build_series",
-    "horner_coefficients",
-    "harmonic_sum",
+    "coefficient_tail",
+    "table_sum",
     "eval_series",
     "multisine_a0",
     "require_finite_positive",
@@ -132,9 +132,11 @@ class FourierSeries:
         return np.where(self.ak < 0, np.pi, 0.0)
 
     @cached_property
-    def horner(self) -> tuple[list, list]:
-        """:func:`horner_coefficients` of ``ak``: the unit-filter amplitudes."""
-        return horner_coefficients(self.ak)
+    def table(self) -> np.ndarray:
+        """:func:`rectenna.rcfilter.taylor_table` of ``ak``, built on first use."""
+        from .rcfilter import taylor_table  # rcfilter imports this module
+
+        return taylor_table(self.ak, self.fundamental_fc)
 
 
 def build_series(
@@ -154,85 +156,57 @@ def build_series(
     )
 
 
-def horner_coefficients(amplitudes) -> tuple[list, list]:
-    """Horner coefficients for ``Re sum_k c_k z^k``, k = 1..K.
+def coefficient_tail(kind: RectifierKind, truncation: int) -> float:
+    """``sum_{k > K} |a_k|``, the coefficients the truncation drops.
 
-    ``amplitudes[i]`` is the complex ``c_k`` of harmonic ``k = i + 1``.  The
-    sum splits by parity as ``z^2 P(z^2) + z Q(z^2)``, with P holding
-    ``c_2, c_4, ...`` and Q holding ``c_1, c_3, ...``.  Returns P and Q as
-    lists of ``(real, imag)`` Python floats, highest degree first, with
-    trailing zero coefficients dropped: the rectifier's odd ``k >= 3`` are
-    exactly zero, so Q keeps at most ``c_1``.
+    Only even k contribute: ``(4 / pi) sum_{m > K/2} 1 / ((2m - 1)(2m + 1))``
+    telescopes to ``(2 / pi) / (2 floor(K / 2) + 1)`` for the full wave, and
+    the half wave's is half that.  A filter with ``|H| <= R`` therefore moves
+    its output at most ``scale R`` times this from the untruncated series.
     """
-    amps = np.asarray(amplitudes, dtype=complex)
-    polys = []
-    for poly in (amps[1::2], amps[0::2]):
-        nonzero = np.flatnonzero(poly)
-        poly = poly[: nonzero[-1] + 1 if nonzero.size else 0][::-1]
-        polys.append(list(zip(poly.real.tolist(), poly.imag.tolist())))
-    return polys[0], polys[1]
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    tail = (2.0 / math.pi) / (2 * (truncation // 2) + 1)
+    return tail if kind is RectifierKind.FULL_WAVE else 0.5 * tail
 
 
-def _horner(poly: list, wr, wi):
-    """``poly(w)`` by Horner's rule, with explicit real operations.
+def table_sum(table: np.ndarray, fc: float, t):
+    """``Re sum_k c_k exp(j 2 pi k fc t)`` at time(s) t, from a Taylor table.
 
-    Each step is eight real operations, ``ar*wr - ai*wi + br`` then
-    ``ar*wi + ai*wr + bi``.  Python floats ``wr, wi`` give Python floats.
-    Arrays run each operation as one ufunc into four buffers allocated once
-    per call (the accumulator pair and two scratch arrays, rotated between
-    steps), so a step allocates nothing and rounds exactly as the scalar
-    path does.  An empty poly gives ``0.0, 0.0`` and allocates nothing.
+    ``table`` is :func:`rectenna.rcfilter.taylor_table` of the ``c_k``: row
+    p, column i holds ``r_p(i)``, the p-th Taylor coefficient of the sum
+    around grid phase i of n (a power of two).  For each t, ``x = (fc t mod
+    1) n``, ``i = rint(x) mod n`` and ``u = x - rint(x)``, ``|u| <= 1/2``,
+    and the value is ``sum_p r_p(i) u^p`` by Horner's rule in u.  A scalar t
+    runs as a one-element array through the same ufuncs, so it returns a
+    float bitwise equal to the array path's element, wherever t sits in the
+    array.  The phase ``fc t`` is reduced mod 1 before any scaling, so
+    rounding in the product is the only phase error.
     """
-    if np.ndim(wr) == 0 or not poly:
-        ar = ai = 0.0
-        for br, bi in poly:
-            ar, ai = ar * wr - ai * wi + br, ar * wi + ai * wr + bi
-        return ar, ai
-    ar, ai = np.zeros_like(wr), np.zeros_like(wr)
-    s, t = np.empty_like(wr), np.empty_like(wr)
-    for br, bi in poly:
-        np.multiply(ar, wr, out=s)
-        np.multiply(ai, wi, out=t)
-        np.subtract(s, t, out=s)
-        np.add(s, br, out=s)  # s = ar*wr - ai*wi + br
-        np.multiply(ar, wi, out=t)
-        np.multiply(ai, wr, out=ar)
-        np.add(t, ar, out=ar)
-        np.add(ar, bi, out=ar)  # ar's buffer = ar*wi + ai*wr + bi
-        ar, ai, s = s, ar, ai
-    return ar, ai
-
-
-def harmonic_sum(horner: tuple[list, list], fc: float, t):
-    """``Re sum_k c_k exp(j 2 pi k fc t)`` at time(s) t, c_k as in :func:`horner_coefficients`.
-
-    One cos/sin pair per time, then K/2 complex multiply-adds by Horner's
-    rule (:func:`_horner`).  Every step is written as separate real
-    operations, so a scalar t (Python floats, returning a float) and an
-    array t (one ufunc per operation, into buffers reused across the steps)
-    round identically, whatever t's position in the array; numpy's complex
-    multiply may fuse them and would not.
-    """
-    w = 2.0 * np.pi * fc
+    n = table.shape[1]
+    x = np.multiply(fc, np.ravel(t), dtype=float)
+    np.remainder(x, 1.0, out=x)
+    x *= n
+    nearest = np.rint(x)
+    u = np.subtract(x, nearest, out=x)
+    index = nearest.astype(np.intp)
+    index &= n - 1  # x rounds up to n just below a whole period
+    value = table[-1].take(index)
+    for row in table[-2::-1]:
+        value *= u
+        value += row.take(index)
     if np.ndim(t) == 0:
-        theta = w * float(t)
-        c, s = float(np.cos(theta)), float(np.sin(theta))
-    else:
-        theta = w * np.asarray(t, dtype=float)
-        c, s = np.cos(theta), np.sin(theta, out=theta)  # cos reads theta first
-    wr, wi = c * c - s * s, 2.0 * c * s  # z^2
-    p_re, p_im = _horner(horner[0], wr, wi)
-    q_re, q_im = _horner(horner[1], wr, wi)
-    return (p_re * wr - p_im * wi) + (q_re * c - q_im * s)  # Re(z^2 P + z Q)
+        return float(value[0])
+    return value.reshape(np.shape(t))
 
 
 def eval_series(series: FourierSeries, t):
     """Evaluate ``scale * (a0/2 + sum_k a_k cos(2 pi k fc t))`` at time(s) t.
 
-    The unit-filter case of :func:`rectenna.rcfilter.eval_filtered`: the same
-    Horner kernel (:func:`harmonic_sum`) with real coefficients ``a_k``.
+    The unit-filter case of :func:`rectenna.rcfilter.eval_filtered`: the
+    same evaluator (:func:`table_sum`) on the table of the real ``a_k``.
     """
-    return series.scale * (0.5 * series.a0 + harmonic_sum(series.horner, series.fundamental_fc, t))
+    return series.scale * (0.5 * series.a0 + table_sum(series.table, series.fundamental_fc, t))
 
 
 def multisine_a0(kind: RectifierKind, fc: float, df: float) -> float:

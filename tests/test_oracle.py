@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rectenna.design
 import rectenna.oracle
@@ -22,6 +24,8 @@ from rectenna import (
     quad_multisine_a0,
     sample_stats,
 )
+from rectenna.oracle import steady_state
+from rectenna.rectifier import coefficient_tail, rectify
 
 FULL = RectifierKind.FULL_WAVE
 HALF = RectifierKind.HALF_WAVE
@@ -192,6 +196,92 @@ def test_sample_stats_refinement_stops_far_from_zero():
     stats = sample_stats(lambda t: np.cos(2 * np.pi * (t / 1e6 - 0.7)), 1e6, 64)
     assert stats.max == pytest.approx(1.0, abs=1e-12)
     assert abs(stats.argmax_t - 0.7e6) < 1.0
+
+
+@pytest.mark.parametrize("kind", [FULL, HALF])
+@pytest.mark.parametrize("fc_tau", [1e-3, 0.05, 1.0, 30.0])
+def test_steady_state_solves_the_filter_equation(kind, fc_tau):
+    # tau v' + v = R S g(cos(2 pi fc t)) by central differences away from the
+    # kinks, and v repeats after one carrier period
+    resistance, scale, fc = 2.0, 1.3, 13.56e6
+    tau = fc_tau / fc
+    period = 1.0 / fc
+    phases = np.array([0.03, 0.11, 0.2, 0.31, 0.47, 0.62, 0.7, 0.88])
+    ts = phases * period
+    dt = 1e-6 * min(period, tau)
+    v = steady_state(kind, resistance, scale, fc, tau, ts)
+    slope = (
+        steady_state(kind, resistance, scale, fc, tau, ts + dt)
+        - steady_state(kind, resistance, scale, fc, tau, ts - dt)
+    ) / (2.0 * dt)
+    drive = resistance * scale * rectify(kind, np.cos(2.0 * math.pi * phases))
+    assert tau * slope + v == pytest.approx(drive, rel=0, abs=1e-6 * resistance * scale)
+    later = steady_state(kind, resistance, scale, fc, tau, ts + 7.0 * period)
+    assert later == pytest.approx(v, rel=0, abs=1e-12 * resistance * scale)
+    # the DC level is R S mean(g): 2/pi full wave, 1/pi half wave
+    mean = sample_stats(
+        lambda t: steady_state(kind, resistance, scale, fc, tau, t), period, 4096, False
+    ).mean
+    dc = (2.0 if kind is FULL else 1.0) / math.pi * resistance * scale
+    assert mean == pytest.approx(dc, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", [FULL, HALF])
+def test_steady_state_at_zero_tau_is_the_rectified_drive(kind):
+    ts = np.linspace(-1e-7, 1e-7, 101)
+    v = steady_state(kind, 2.0, 0.7, 915e6, 0.0, ts)
+    phase = np.remainder(915e6 * ts, 1.0)
+    assert np.array_equal(v, 1.4 * rectify(kind, np.cos(2.0 * math.pi * phase)))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.0, 1.0, 1e6, 1e-9),
+        (2.0, -1.0, 1e6, 1e-9),
+        (2.0, 1.0, math.nan, 1e-9),
+        (2.0, 1.0, 1e6, -1e-9),
+        (2.0, 1.0, 1e300, 1e300),  # fc tau overflows
+    ],
+)
+def test_steady_state_rejects_out_of_range_input(args):
+    with pytest.raises(ValueError):
+        steady_state(FULL, *args, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([FULL, HALF]),
+    resistance=st.floats(min_value=0.5, max_value=20.0),
+    capacitance=st.one_of(st.just(0.0), st.floats(min_value=1e-14, max_value=1e-8)),
+    amplitude=st.floats(min_value=0.2, max_value=3.0),
+    log_fc=st.floats(min_value=6.0, max_value=9.5),
+    truncation=st.sampled_from([1, 2, 17, 64, 256, 600]),
+    periods=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=64),
+)
+@example(  # the full wave's kinks at C = 0, where the error is the whole bound
+    kind=FULL, resistance=2.0, capacitance=0.0, amplitude=1.0, log_fc=math.log10(13.56e6),
+    truncation=256, periods=[0.25, -0.25, 0.0],
+)
+@example(
+    kind=HALF, resistance=2.0, capacitance=1e-12, amplitude=1.0, log_fc=math.log10(915e6),
+    truncation=256, periods=[0.25, 0.5, 0.7501],
+)
+def test_filtered_series_is_within_the_truncation_tail_of_the_steady_state(
+    kind, resistance, capacitance, amplitude, log_fc, truncation, periods
+):
+    # the series oscillates about the time-domain solution by at most the
+    # dropped coefficients: |H| <= R, so |error| <= S R sum_{k > K} |a_k|
+    fc = 10.0**log_fc
+    filt = RcFilter(resistance, capacitance)
+    scale = amplification_factor(filt, fc) * amplitude
+    fs = filtered_series(build_series(kind, truncation, scale=scale, fc=fc), filt)
+    ts = np.array(periods) / fc
+    exact = steady_state(kind, resistance, scale, fc, filt.tau, ts)
+    err = float(np.max(np.abs(eval_filtered(fs, ts) - exact)))
+    # the bound is for exact arithmetic; 1e-13 S R covers the evaluators' roundoff
+    bound = scale * resistance * coefficient_tail(kind, truncation)
+    assert err <= bound + 1e-13 * scale * resistance
 
 
 def imported_names(module):

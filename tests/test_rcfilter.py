@@ -12,6 +12,7 @@ from rectenna import (
     RectifierKind,
     amplification_factor,
     build_series,
+    coefficients,
     dc_limits,
     dc_voltage,
     eval_filtered,
@@ -24,7 +25,7 @@ from rectenna import (
     sample_stats,
     transfer,
 )
-from rectenna.rcfilter import grid_extrema, period_grid
+from rectenna.rcfilter import grid_extrema, period_grid, taylor_table
 
 FULL = RectifierKind.FULL_WAVE
 HALF = RectifierKind.HALF_WAVE
@@ -568,15 +569,83 @@ def long_double_output(fs, ts):
 @settings(max_examples=100, deadline=None)
 @given(
     kind=KINDS,
-    truncation=st.integers(1, 600),
+    truncation=st.integers(1, 2000),
     cutoff=CUTOFFS,
     fc=st.floats(min_value=1e5, max_value=1e11),
     periods=st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=16),
 )
 @example(kind=HALF, truncation=600, cutoff=math.inf, fc=1e11, periods=[-99.9, 0.0, 0.25, 99.99])
+@example(kind=FULL, truncation=2000, cutoff=1e9, fc=13.56e6, periods=[-3.3, 0.125, 0.5, 7.77])
+@example(kind=HALF, truncation=2000, cutoff=math.inf, fc=FC, periods=[0.0, 0.25, 0.5, 0.75])
 def test_eval_filtered_matches_long_double_cosine_sum(kind, truncation, cutoff, fc, periods):
+    # K up to 2000 takes the Taylor table past 4096 grid phases (8192 at K = 2000)
     fs = output_series(kind, RcFilter.from_cutoff(2.0, cutoff), 1.5, fc, truncation)
     ts = np.array(periods) / fc
     err = np.abs(eval_filtered(fs, ts) - long_double_output(fs, ts)).astype(float)
     norm = abs(fs.dc_level) + fs.base.scale * float(np.sum(np.abs(fs.gains * fs.base.ak)))
     assert np.max(err) <= 1e-12 * norm
+
+
+def taylor_tail(x, degree):
+    """``sum_{p > D} x^p / p!``, the relative Taylor tail a degree-D cut drops."""
+    return math.fsum(x**p / math.factorial(p) for p in range(degree + 1, degree + 60))
+
+
+@pytest.mark.parametrize("truncation", [1, 256, 600, 1024, 2000])
+def test_taylor_table_degree_keeps_the_tail_below_1e_17(truncation):
+    table = taylor_table(coefficients(HALF, truncation), FC)
+    rows, n = table.shape
+    assert n & (n - 1) == 0 and 4 * truncation <= n < 8 * truncation
+    # |u| <= 1/2 grid step: the tail is at most sum_k |c_k| sum_{p > D} (K h / 2)^p / p!
+    x = truncation * math.pi / n
+    assert taylor_tail(x, rows - 1) <= 1e-17 < taylor_tail(x, rows - 2)
+    assert not table.flags.writeable
+
+
+def time_one_ulp_below(periods, fc):
+    """A time t whose rounded phase ``fc * t`` is the float just below ``periods``."""
+    target = math.nextafter(periods, 0.0)
+    t = target / fc
+    for _ in range(64):
+        if fc * t == target:
+            return t
+        t = math.nextafter(t, math.inf if fc * t < target else 0.0)
+    raise AssertionError(f"no t has fc * t = {target!r}")
+
+
+@pytest.mark.parametrize("kind", [FULL, HALF])
+@pytest.mark.parametrize("fc", [1.0, FC, 13.56e6])
+def test_phase_one_ulp_below_a_whole_period_wraps_to_grid_phase_zero(kind, fc):
+    # fc t mod 1 rounds to n grid steps just below an integer; its index
+    # wraps to 0, where the phase is the same up to roundoff
+    fs = output_series(kind, RcFilter.from_cutoff(2.0, 1e9), 1.0, fc)
+    n = fs.table.shape[1]
+    for periods in (1.0, 3.0):
+        t = time_one_ulp_below(periods, fc)
+        assert round((fc * t) % 1.0 * n) == n
+        value = eval_filtered(fs, t)
+        assert value == eval_filtered(fs, np.array([0.5 / fc, t]))[1]
+        assert value == pytest.approx(eval_filtered(fs, 0.0), rel=0, abs=1e-13 * output_norm(fs))
+
+
+def test_eval_filtered_keeps_the_shape_of_a_two_dimensional_t():
+    fs = output_series(HALF, RcFilter.from_cutoff(2.0, 1e9), 1.0, FC)
+    ts = np.arange(12.0).reshape(3, 4) * 1e-10
+    flat = eval_filtered(fs, ts.ravel())
+    assert eval_filtered(fs, ts).tobytes() == flat.reshape(3, 4).tobytes()
+    assert eval_filtered(fs, ts[:, :1]).shape == (3, 1)
+
+
+@pytest.mark.parametrize("kind", [FULL, HALF])
+def test_eval_rejects_a_carrier_whose_top_harmonic_overflows(kind):
+    # 2 pi K fc is inf: the table would read finite values at phases that
+    # mean nothing, so the evaluators refuse the series
+    filt = RcFilter(2.0, 0.0)
+    fc = 1.7e308
+    fs = filtered_series(build_series(kind, 256, scale=1.0, fc=fc), filt)
+    for evaluate in (lambda t: eval_filtered(fs, t), lambda t: eval_series(fs.base, t)):
+        with pytest.raises(ValueError, match="not finite"):
+            evaluate(0.0)
+    top = sys.float_info.max / (2.0 * math.pi * 2)
+    fine = filtered_series(build_series(kind, 2, scale=1.0, fc=top), filt)
+    assert math.isfinite(eval_filtered(fine, 0.0))

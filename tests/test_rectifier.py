@@ -14,7 +14,7 @@ from rectenna import (
     multisine_a0,
     rectify,
 )
-from rectenna.rectifier import _horner, harmonic_sum
+from rectenna.rectifier import coefficient_tail
 
 FULL = RectifierKind.FULL_WAVE
 HALF = RectifierKind.HALF_WAVE
@@ -227,43 +227,20 @@ def test_coefficients_bitwise_equal_scalar_rule(kind, truncation):
     assert coefficients(kind, truncation).tobytes() == expected.tobytes()
 
 
-def _horner_reference(poly, wr, wi):
-    # the one-line Horner step that allocates its temporaries per operation
-    ar = ai = 0.0
-    for br, bi in poly:
-        ar, ai = ar * wr - ai * wi + br, ar * wi + ai * wr + bi
-    return ar, ai
+@pytest.mark.parametrize("kind", [FULL, HALF])
+@pytest.mark.parametrize("truncation", [1, 2, 3, 256, 257, 2000])
+def test_coefficient_tail_sums_the_dropped_coefficients(kind, truncation):
+    # the tail beyond K, less the tail beyond L, is |a_k| summed over K < k <= L
+    top = 4 * truncation + 9
+    dropped = math.fsum(np.abs(coefficients(kind, top)[truncation:]))
+    tails = coefficient_tail(kind, truncation) - coefficient_tail(kind, top)
+    assert dropped == pytest.approx(tails, rel=1e-12)
 
 
-COEFFS = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(min_value=-2.0, max_value=2.0))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    poly=st.lists(st.tuples(COEFFS, COEFFS), max_size=12),
-    angles=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=24),
-    rows=st.sampled_from([1, 2, 3]),
-)
-def test_horner_buffers_match_the_allocating_expression(poly, angles, rows):
-    # a 2-D grid of phasors, as a 2-D t gives; signed zeros must survive too
-    theta = np.array(angles * rows).reshape(rows, -1)
-    wr, wi = np.cos(theta), np.sin(theta)
-    got = _horner(poly, wr, wi)
-    want = _horner_reference(poly, wr, wi)
-    for g, w in zip(got, want):
-        assert np.shape(g) == np.shape(w)
-        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
-    assert _horner_reference(poly, 0.3, -0.7) == _horner(poly, 0.3, -0.7)
-
-
-def test_horner_empty_polynomial_and_two_dimensional_t():
-    # full wave at K = 1: a_1 = 0, so both Horner polynomials are empty
+def test_eval_series_keeps_the_shape_of_a_two_dimensional_t():
+    # full wave at K = 1: a_1 = 0, so the series is its DC term alone
     series = build_series(FULL, 1, scale=1.0, fc=915e6)
-    assert series.horner == ([], [])
     ts = np.arange(12.0).reshape(3, 4) * 1e-10
-    out = harmonic_sum(series.horner, 915e6, ts)
-    assert out.shape == (3, 4)
-    assert not np.any(out)
     assert np.array_equal(eval_series(series, ts), np.full((3, 4), 2.0 / math.pi))
     half = build_series(HALF, 64, scale=1.0, fc=915e6)
     flat = eval_series(half, ts.ravel())
