@@ -39,7 +39,6 @@ from .rcfilter import (
     period_extrema,
     period_samples,
     ripple_peak,
-    transfer,
 )
 from .rectifier import (
     DEFAULT_TRUNCATION,
@@ -103,5 +102,4 @@ __all__ = [
     "steady_state",
     "sweep_cutoff",
     "time_trace",
-    "transfer",
 ]

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,20 +47,6 @@ DEFAULT_RESISTANCE = 2.0
 _KINDS = {"full": RectifierKind.FULL_WAVE, "half": RectifierKind.HALF_WAVE}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the table-producing commands."""
-
-    command: str
-    kind: RectifierKind
-    amplitude: float
-    fc: float
-    resistance: float
-    truncation: int
-    output_format: str
-    output_path: str | None
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -76,7 +61,7 @@ def _json_value(value):
     return value
 
 
-def _emit(header: list[str], rows: Sequence[Sequence] | np.ndarray, config: RunConfig) -> None:
+def _emit(header: list[str], rows: Sequence[Sequence] | np.ndarray, args) -> None:
     # finite inputs can still overflow (fc or rl near the float maximum), so
     # every cell is checked before any --out file is opened.  An array (the
     # trace table) is flattened and checked by one numpy call each; row
@@ -91,7 +76,7 @@ def _emit(header: list[str], rows: Sequence[Sequence] | np.ndarray, config: RunC
         float_table = False
     if not finite:
         raise ValueError("result is not finite; an input is out of range")
-    if config.output_format == "csv":
+    if args.format == "csv":
         # one %-format over all cells: "%.9g" is f"{v:.9g}" digit for digit, so
         # all-float columns are formatted in C; other columns go in as _fmt text
         width = len(header)
@@ -107,9 +92,9 @@ def _emit(header: list[str], rows: Sequence[Sequence] | np.ndarray, config: RunC
     else:
         records = [{name: _json_value(v) for name, v in zip(header, row)} for row in rows]
         text = json.dumps(records, indent=2) + "\n"
-    if config.output_path:
+    if args.out:
         try:
-            fh = open(config.output_path, "w")
+            fh = open(args.out, "w")
         except OSError as exc:
             raise ValueError(f"cannot write --out: {exc}") from exc
         with fh:
@@ -132,28 +117,28 @@ def _parse_range(text: str) -> tuple[float, float, int, str]:
     return lo, hi, points, spacing
 
 
-def _filter_from_args(args, resistance: float) -> RcFilter:
+def _filter_from_args(args) -> RcFilter:
     if args.cap is not None:
-        return RcFilter(resistance, args.cap)
+        return RcFilter(args.rl, args.cap)
     # --fcut 0 (or inf, which from_cutoff maps to C = 0) means the unfiltered case
     if args.fcut == 0:
-        return RcFilter(resistance, 0.0)
-    return RcFilter.from_cutoff(resistance, args.fcut)
+        return RcFilter(args.rl, 0.0)
+    return RcFilter.from_cutoff(args.rl, args.fcut)
 
 
-def _cmd_coeffs(args, config: RunConfig) -> int:
+def _cmd_coeffs(args) -> int:
     if args.k_max < 0:
         raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
     rows = []
     for k in range(args.k_max + 1):
-        closed = fourier_coefficient(config.kind, k)
-        quad = oracle.quad_coefficient(config.kind, k, config.fc)
+        closed = fourier_coefficient(args.kind, k)
+        quad = oracle.quad_coefficient(args.kind, k, args.fc)
         rows.append([k, closed, quad, abs(closed - quad)])
-    _emit(["k", "a_closed", "a_quad", "abs_diff"], rows, config)
+    _emit(["k", "a_closed", "a_quad", "abs_diff"], rows, args)
     return 0
 
 
-def _cmd_multisine_a0(args, config: RunConfig) -> int:
+def _cmd_multisine_a0(args) -> int:
     if ":" in args.df:
         lo, hi, points, spacing = _parse_range(args.df)
         dfs = make_grid(lo, hi, points, spacing)
@@ -161,39 +146,39 @@ def _cmd_multisine_a0(args, config: RunConfig) -> int:
         dfs = np.array([float(args.df)])
     rows = []
     for df in dfs:
-        closed = multisine_a0(config.kind, config.fc, float(df))
-        quad = oracle.quad_multisine_a0(config.kind, config.fc, float(df))
+        closed = multisine_a0(args.kind, args.fc, float(df))
+        quad = oracle.quad_multisine_a0(args.kind, args.fc, float(df))
         rows.append([float(df), closed, quad, abs(closed - quad)])
-    _emit(["df_hz", "a0_closed", "a0_quad", "abs_diff"], rows, config)
+    _emit(["df_hz", "a0_closed", "a0_quad", "abs_diff"], rows, args)
     return 0
 
 
-def _cmd_trace(args, config: RunConfig) -> int:
-    filt = _filter_from_args(args, config.resistance)
+def _cmd_trace(args) -> int:
+    filt = _filter_from_args(args)
     if args.t is not None:
         lo, hi, points, spacing = _parse_range(args.t)
         if spacing != "linear":
             raise ValueError("trace time grid must be linear")
         ts = np.linspace(lo, hi, points)
     else:
-        ts = np.arange(1024) * (2.0 / config.fc / 1024)
-    table = time_trace(config.kind, filt, config.amplitude, config.fc, ts, config.truncation)
-    _emit(["t_s", "v_o_v"], table, config)
+        ts = np.arange(1024) * (2.0 / args.fc / 1024)
+    table = time_trace(args.kind, filt, args.amplitude, args.fc, ts, args.truncation)
+    _emit(["t_s", "v_o_v"], table, args)
     return 0
 
 
-def _cmd_sweep(args, config: RunConfig) -> int:
+def _cmd_sweep(args) -> int:
     lo, hi, points, spacing = _parse_range(args.fcut)
     rows = sweep_cutoff(
-        config.kind,
-        config.resistance,
-        config.amplitude,
-        config.fc,
+        args.kind,
+        args.rl,
+        args.amplitude,
+        args.fc,
         lo,
         hi,
         points,
         spacing,
-        config.truncation,
+        args.truncation,
     )
     table = [
         [r.cutoff, r.tau, r.capacitance, r.v_dc, r.ripple_analytic, r.ripple_sampled]
@@ -202,26 +187,26 @@ def _cmd_sweep(args, config: RunConfig) -> int:
     _emit(
         ["f_cut_hz", "tau_s", "cap_f", "v_dc_v", "ripple_analytic_v", "ripple_sampled_v"],
         table,
-        config,
+        args,
     )
     return 0
 
 
-def _cmd_design(args, config: RunConfig) -> int:
+def _cmd_design(args) -> int:
     metric = "sampled_ptp" if args.metric == "sampled" else "analytic"
     res = optimize_capacitance(
-        config.kind,
-        config.resistance,
-        config.amplitude,
-        config.fc,
+        args.kind,
+        args.rl,
+        args.amplitude,
+        args.fc,
         args.budget,
         metric,
-        config.truncation,
+        args.truncation,
     )
     _emit(
         ["cap_f", "tau_s", "v_dc_v", "ripple_v", "budget_v", "feasible"],
         [[res.capacitance, res.tau, res.v_dc, res.ripple, res.budget, res.feasible]],
-        config,
+        args,
     )
     return 0
 
@@ -268,7 +253,10 @@ def _validation_checks(fc: float, k_max: int):
         amp = float(rng.uniform(0.2, 3.0))
         scale = amplification_factor(filt, fc) * amp
         fs = filtered_series(build_series(full, 256, scale=scale, fc=fc), filt)
-        stats = oracle.sample_stats(lambda t: eval_filtered(fs, t), 1.0 / fc, 8192)
+        # only the mean is read, so the argmax is left unrefined
+        stats = oracle.sample_stats(
+            lambda t: eval_filtered(fs, t), 1.0 / fc, 8192, refine_argmax=False
+        )
         ref = dc_voltage(full, filt, amp, fc)
         dcerr = max(dcerr, abs(stats.mean - ref) / abs(ref))
     yield "dc_equals_sampled_mean", dcerr < 1e-9, f"max rel err={dcerr:.3e}"
@@ -346,10 +334,10 @@ def _steady_state_check(fc: float) -> tuple[bool, float]:
     return ok, worst
 
 
-def _cmd_validate(args, config: RunConfig) -> int:
+def _cmd_validate(args) -> int:
     # every check runs before the first line is printed, so a check that
     # raises (an out-of-range fc) leaves no partial report on stdout
-    checks = list(_validation_checks(config.fc, args.k_max))
+    checks = list(_validation_checks(args.fc, args.k_max))
     failures = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
@@ -439,26 +427,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        kind=_KINDS[args.kind],
-        amplitude=args.amplitude,
-        fc=args.fc,
-        resistance=args.rl,
-        truncation=args.truncation,
-        output_format=args.format,
-        output_path=args.out,
-    )
+    args.kind = _KINDS[args.kind]
     try:
-        require_finite_positive("--amplitude", config.amplitude)
-        require_finite_positive("--fc", config.fc)
-        require_finite_positive("--rl", config.resistance)
-        if config.truncation < 1:
-            raise ValueError(f"--truncation must be >= 1, got {config.truncation}")
+        require_finite_positive("--amplitude", args.amplitude)
+        require_finite_positive("--fc", args.fc)
+        require_finite_positive("--rl", args.rl)
+        if args.truncation < 1:
+            raise ValueError(f"--truncation must be >= 1, got {args.truncation}")
         # out-of-range inputs overflow to inf or nan inside numpy; _emit
         # refuses such a table, so the warnings would only precede that error
         with np.errstate(over="ignore", invalid="ignore"):
-            return _HANDLERS[args.command](args, config)
+            return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

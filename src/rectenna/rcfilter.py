@@ -9,15 +9,15 @@ more DC and more ripple, large tau kills both.
 The design layer samples the output on a uniform grid over one carrier period
 many times.  :func:`period_grid` does that for a block of time constants at
 once, from one ``(m, K)`` filter matrix (:func:`filter_response`).  The
-rectified carrier has only c_1 and even harmonics, so for even n the even
-ones fold into an ``(m, n/4 + 1)`` one-sided spectrum and one real inverse
-FFT of length n/2 along its rows gives them on half the grid; the c_1 cosine
-is then added on one half period and subtracted on the other.  The spectrum,
-the c_1 term and the grid live in per-thread scratch arrays that later calls
-reuse.  :func:`period_samples` and :func:`period_extrema` are the one-row
-case.  Where that grid is coarser than 1e-12 s, :func:`grid_extrema`
-Newton-polishes both its extrema on the exact trig polynomial; finer grids
-keep their grid extrema.  :func:`eval_filtered` serves arbitrary times from
+rectified carrier has only c_1 and even harmonics, so n must be even: the
+even ones fold into an ``(m, n/4 + 1)`` one-sided spectrum and one real
+inverse FFT of length n/2 along its rows gives them on half the grid; the
+c_1 cosine is then added on one half period and subtracted on the other.
+The spectrum, the c_1 term and the grid live in per-thread scratch arrays
+that later calls reuse.  :func:`period_samples` and :func:`period_extrema`
+are the one-row case.  Where that grid is coarser than 1e-12 s,
+:func:`grid_extrema` Newton-polishes both its extrema on the exact trig
+polynomial; finer grids keep their grid extrema.  :func:`eval_filtered` serves arbitrary times from
 a Taylor table (:func:`taylor_table`): one period grid whose D + 1 rows are
 the series' first D + 1 Taylor coefficients at every grid phase, built once
 per series.  A time is then a table lookup at the nearest grid phase and a
@@ -47,7 +47,6 @@ __all__ = [
     "RcFilter",
     "FilteredSeries",
     "amplification_factor",
-    "transfer",
     "filter_response",
     "filtered_series",
     "eval_filtered",
@@ -129,15 +128,6 @@ def amplification_factor(filt: RcFilter, fc: float) -> float:
     return math.sqrt(filt.resistance / (1.0 + w * w))
 
 
-def transfer(filt: RcFilter, f: float) -> tuple[float, float]:
-    """Magnitude and phase of ``H(f) = R / (1 + j 2 pi f tau)``.
-
-    Returns ``(R / sqrt(1 + (2 pi f tau)^2), atan(-2 pi f tau))``.
-    """
-    wt = 2.0 * math.pi * f * filt.tau if filt.tau else 0.0  # as in amplification_factor
-    return filt.resistance / math.sqrt(1.0 + wt * wt), math.atan(-wt)
-
-
 def _omega_tau(fc: float, taus: list[float], truncation: int) -> np.ndarray:
     """``2 pi k fc tau`` for k = 1..K, one row per tau.
 
@@ -199,21 +189,6 @@ class FilteredSeries:
     filt: RcFilter
     transfers: np.ndarray
 
-    @property
-    def gains(self) -> np.ndarray:
-        """``|H(k fc)|`` for k = 1..K."""
-        return np.abs(self.transfers)
-
-    @property
-    def phase_shifts(self) -> np.ndarray:
-        """``angle H(k fc)`` for k = 1..K."""
-        return np.angle(self.transfers)
-
-    @property
-    def dc_level(self) -> float:
-        """DC term ``scale * a0 * R / 2`` of the filtered output."""
-        return self.base.scale * self.base.a0 * self.filt.resistance / 2.0
-
     @cached_property
     def amplitudes(self) -> np.ndarray:
         """Complex amplitudes ``c_k = a_k H(k fc)``, read-only."""
@@ -253,9 +228,8 @@ def eval_filtered(fs: FilteredSeries, t):
 
 
 def _work_arrays(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """New spectrum and c_1-term arrays for a ``(rows, n)`` grid."""
-    points = n // 2 if n % 2 == 0 else n
-    return np.empty((rows, points // 2 + 1), dtype=complex), np.empty((rows, n // 2))
+    """New spectrum and c_1-term arrays for a ``(rows, n)`` grid, n even."""
+    return np.empty((rows, n // 4 + 1), dtype=complex), np.empty((rows, n // 2))
 
 
 def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,22 +267,21 @@ def _fold_one_sided(spectrum: np.ndarray, placed: np.ndarray, points: int) -> No
 
 def _check_grid(amplitudes: np.ndarray, n: int) -> None:
     # the arguments period_grid refuses
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+    if n < 2 or n % 2:
+        raise ValueError(f"need an even number of samples >= 2, got {n}")
     if np.any(amplitudes[:, 2::2]):
         raise ValueError("odd harmonics k >= 3 must be zero, as the rectifier's are")
 
 
 def _fill_grid(amplitudes: np.ndarray, scales, dc: float, n: int, spectrum, fundamental, grid):
-    """:func:`period_grid` of arguments :func:`_check_grid` passed, written
-    into the ``(rows, n)`` array ``grid`` and returned, with
+    """:func:`period_grid` of arguments :func:`_check_grid` passed (so n is
+    even), written into the ``(rows, n)`` array ``grid`` and returned, with
     :func:`_work_arrays` ``spectrum`` and ``fundamental``.
     """
     scales = np.asarray(scales, dtype=float)
-    even = n % 2 == 0
-    # even n: harmonic 2j is frequency j on the half grid; odd n: the full one
-    points = n // 2 if even else n
-    placed = amplitudes[:, 1::2] if even else amplitudes
+    # harmonic 2j is frequency j on the half grid
+    points = n // 2
+    placed = amplitudes[:, 1::2]
     _fold_one_sided(spectrum, placed, points)
     spectrum[:, 0] += dc
     # irfft (norm="forward") sums bin 0, the Nyquist bin and 2 Re of the rest
@@ -318,8 +291,6 @@ def _fill_grid(amplitudes: np.ndarray, scales, dc: float, n: int, spectrum, fund
         spectrum[:, points // 2] *= 2.0
     low, high = grid[:, :points], grid[:, points:]
     np.fft.irfft(spectrum, points, axis=1, norm="forward", out=low)
-    if not even:
-        return grid
     c1 = amplitudes[:, 0] * scales
     if not np.any(c1):
         high[...] = low
@@ -339,17 +310,16 @@ def period_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray
 
     Row r is ``scales[r] * (dc + sum_k Re(c_k exp(j 2 pi k i / n)))`` with
     ``c_k = amplitudes[r, k - 1]``.  The odd harmonics k >= 3 must be exactly
-    zero, as the rectifier's are; otherwise ``ValueError``.  For even n the
-    sum splits by parity as ``E_i + L_i`` with ``L_i = Re(c_1 exp(j 2 pi i /
-    n))``: E has period n/2, and ``L_(i + n/2) = -L_i``.  So one real inverse
-    FFT of length n/2 gives E, with harmonic 2j folded into bin j of a
-    one-sided spectrum (:func:`_fold_one_sided`; the row scale and dc
-    folded in too), and the output is ``E_i + L_i`` and ``E_i - L_i`` on the
-    two half periods.  Odd n folds every harmonic the same way at length n.
-    Harmonics alias exactly on the grid, so every n >= 2 gives
-    :func:`eval_filtered`'s values up to roundoff, and each row is bitwise
-    what it would be alone.  The result is a new array; the thread's scratch
-    arrays are left as they are.
+    zero, as the rectifier's are, and n must be even; otherwise
+    ``ValueError``.  The sum splits by parity as ``E_i + L_i`` with ``L_i =
+    Re(c_1 exp(j 2 pi i / n))``: E has period n/2, and ``L_(i + n/2) =
+    -L_i``.  So one real inverse FFT of length n/2 gives E, with harmonic 2j
+    folded into bin j of a one-sided spectrum (:func:`_fold_one_sided`; the
+    row scale and dc folded in too), and the output is ``E_i + L_i`` and
+    ``E_i - L_i`` on the two half periods.  Harmonics alias exactly on the
+    grid, so every even n >= 2 gives :func:`eval_filtered`'s values up to
+    roundoff, and each row is bitwise what it would be alone.  The result
+    is a new array; the thread's scratch arrays are left as they are.
     """
     _check_grid(amplitudes, n)
     rows = amplitudes.shape[0]

@@ -121,16 +121,6 @@ class FourierSeries:
     scale: float
     fundamental_fc: float
 
-    @property
-    def magnitudes(self) -> np.ndarray:
-        """Per-harmonic magnitudes ``d_k = |a_k|``."""
-        return np.abs(self.ak)
-
-    @property
-    def phases(self) -> np.ndarray:
-        """Per-harmonic phases: 0 where ``a_k >= 0``, pi where ``a_k < 0``."""
-        return np.where(self.ak < 0, np.pi, 0.0)
-
     @cached_property
     def table(self) -> np.ndarray:
         """:func:`rectenna.rcfilter.taylor_table` of ``ak``, built on first use."""

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -307,19 +308,10 @@ def _emit_reference(header, rows):
 
 
 def _emit_text(header, rows, output_format="csv", output_path=None):
-    config = rectenna.cli.RunConfig(
-        command="test",
-        kind=RectifierKind.FULL_WAVE,
-        amplitude=1.0,
-        fc=915e6,
-        resistance=2.0,
-        truncation=256,
-        output_format=output_format,
-        output_path=output_path,
-    )
+    args = argparse.Namespace(format=output_format, out=output_path)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        rectenna.cli._emit(header, rows, config)
+        rectenna.cli._emit(header, rows, args)
     return out.getvalue()
 
 

@@ -23,7 +23,8 @@ from rectenna import (
     period_samples,
     ripple_peak,
     sample_stats,
-    transfer,
+    sampled_ripple,
+    sweep_cutoff,
 )
 from rectenna.rcfilter import grid_extrema, period_grid, taylor_table
 
@@ -81,56 +82,62 @@ def test_amplification_factor_vanishes_for_large_tau():
     assert delta == pytest.approx(math.sqrt(2.0) * 1e-3, rel=1e-6)
 
 
+def transfer_at(filt, f, truncation=1):
+    """``H(k f)`` for k = 1..K, as :func:`filtered_series` attaches it."""
+    return filtered_series(build_series(FULL, truncation, fc=f), filt).transfers
+
+
 def test_transfer_dc_gain():
-    filt = RcFilter(2.0, 4.7e-11)
-    magnitude, phase = transfer(filt, 0.0)
-    assert magnitude == 2.0
-    assert phase == 0.0
+    # the least subnormal carrier: 2 pi f tau rounds to 0, so f is 0 to the filter
+    h = transfer_at(RcFilter(2.0, 4.7e-11), 5e-324, truncation=4)
+    assert np.all(np.abs(h) == 2.0)
+    assert np.all(np.angle(h) == 0.0)
 
 
 def test_transfer_at_cutoff():
     filt = RcFilter.from_cutoff(2.0, 1e9)
-    magnitude, phase = transfer(filt, filt.cutoff)
-    assert magnitude == pytest.approx(2.0 / math.sqrt(2.0), rel=1e-12)
-    assert phase == pytest.approx(-math.pi / 4.0, rel=1e-12)
+    (h,) = transfer_at(filt, filt.cutoff)
+    assert abs(h) == pytest.approx(2.0 / math.sqrt(2.0), rel=1e-12)
+    assert cmath.phase(h) == pytest.approx(-math.pi / 4.0, rel=1e-12)
 
 
 def test_transfer_matches_complex_arithmetic():
     filt = RcFilter.from_cutoff(2.0, 1e9)
     f = FC
-    magnitude, phase = transfer(filt, f)
-    h = filt.resistance / (1.0 + 1j * 2.0 * math.pi * f * filt.tau)
-    assert magnitude == pytest.approx(abs(h), rel=1e-12)
-    assert phase == pytest.approx(cmath.phase(h), rel=1e-12)
-    assert magnitude == pytest.approx(1.47553, abs=1e-5)
-    assert phase == pytest.approx(-0.74104, abs=1e-5)
+    (h,) = transfer_at(filt, f)
+    expected = filt.resistance / (1.0 + 1j * 2.0 * math.pi * f * filt.tau)
+    assert abs(h) == pytest.approx(abs(expected), rel=1e-12)
+    assert cmath.phase(h) == pytest.approx(cmath.phase(expected), rel=1e-12)
+    assert abs(h) == pytest.approx(1.47553, abs=1e-5)
+    assert cmath.phase(h) == pytest.approx(-0.74104, abs=1e-5)
 
 
 def test_filtered_series_zero_tau_is_flat():
     fs = output_series(FULL, RcFilter(2.0, 0.0), 1.0, FC)
-    assert np.all(fs.gains == 2.0)
-    assert np.all(fs.phase_shifts == 0.0)
+    assert np.all(np.abs(fs.transfers) == 2.0)
+    assert np.all(np.angle(fs.transfers) == 0.0)
 
 
 def test_filtered_series_large_capacitance_kills_harmonics():
     fs = output_series(FULL, RcFilter(2.0, 1.0), 1.0, FC)
-    assert np.all(fs.gains < 1e-6 * 2.0)
+    assert np.all(np.abs(fs.transfers) < 1e-6 * 2.0)
 
 
 def test_filtered_series_gains_match_transfer():
     filt = RcFilter.from_cutoff(2.0, 1e9)
     fs = output_series(FULL, filt, 1.0, FC, truncation=4)
     for k in range(1, 5):
-        magnitude, phase = transfer(filt, k * FC)
-        assert fs.gains[k - 1] == pytest.approx(magnitude, rel=1e-12)
-        assert fs.phase_shifts[k - 1] == pytest.approx(phase, rel=1e-12)
+        h = fs.transfers[k - 1]
+        expected = filt.resistance / (1.0 + 1j * 2.0 * math.pi * k * FC * filt.tau)
+        assert abs(h) == pytest.approx(abs(expected), rel=1e-12)
+        assert cmath.phase(h) == pytest.approx(cmath.phase(expected), rel=1e-12)
 
 
 def test_filtered_series_gains_strictly_decreasing():
     fs = output_series(FULL, RcFilter.from_cutoff(2.0, 1e9), 1.0, FC, truncation=16)
-    assert np.all(np.diff(fs.gains) < 0)
-    assert np.all(fs.phase_shifts > -math.pi / 2)
-    assert np.all(fs.phase_shifts < 0)
+    assert np.all(np.diff(np.abs(fs.transfers)) < 0)
+    assert np.all(np.angle(fs.transfers) > -math.pi / 2)
+    assert np.all(np.angle(fs.transfers) < 0)
 
 
 def test_filtered_series_requires_positive_fundamental():
@@ -210,7 +217,8 @@ def test_zero_tau_survives_carrier_overflow(kind):
     filt = RcFilter(2.0, 0.0)
     assert ripple_peak(kind, filt, 1.3, 1.7e308) == max_ripple(kind, 1.3, 2.0)
     assert amplification_factor(filt, 1.7e308) == math.sqrt(2.0)
-    assert transfer(filt, 1.7e308) == (2.0, 0.0)
+    h = transfer_at(filt, 1.7e308, truncation=256)
+    assert np.all(np.abs(h) == 2.0) and np.all(np.angle(h) == 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -221,7 +229,7 @@ def test_zero_tau_survives_carrier_overflow(kind):
 )
 def test_filtered_series_at_zero_tau_is_finite_for_any_carrier(kind, truncation, fc):
     fs = filtered_series(build_series(kind, truncation, fc=fc), RcFilter(2.0, 0.0))
-    assert np.all(np.isfinite(fs.gains)) and np.all(np.isfinite(fs.phase_shifts))
+    assert np.all(np.isfinite(fs.transfers))
 
 
 def test_ripple_peak_tends_to_dc_voltage_for_large_tau():
@@ -274,7 +282,7 @@ def test_sampled_peak_below_triangle_bound():
     stats = sample_stats(lambda t: eval_filtered(fs, t), 1.0 / FC, 2 ** 14)
     base = fs.base
     bound = base.scale * (
-        0.5 * base.a0 * filt.resistance + float(np.sum(fs.gains * np.abs(base.ak)))
+        0.5 * base.a0 * filt.resistance + float(np.sum(np.abs(fs.transfers) * np.abs(base.ak)))
     )
     assert stats.max <= bound * (1 + 1e-12)
 
@@ -334,10 +342,10 @@ CUTOFFS = st.one_of(st.just(math.inf), st.floats(min_value=1e7, max_value=1e12))
     truncation=st.integers(1, 300),
     cutoff=CUTOFFS,
     fc=st.floats(min_value=1e6, max_value=1e10),
-    n=st.integers(2, 1200),
+    n=st.integers(1, 600).map(lambda m: 2 * m),
 )
 @example(kind=FULL, truncation=256, cutoff=1e9, fc=FC, n=512)  # n = 2K
-@example(kind=HALF, truncation=256, cutoff=1e9, fc=FC, n=511)  # odd, below 2K
+@example(kind=HALF, truncation=256, cutoff=1e9, fc=FC, n=510)  # below 2K
 @example(kind=HALF, truncation=300, cutoff=math.inf, fc=FC, n=2)
 @example(kind=FULL, truncation=256, cutoff=1e9, fc=FC, n=4096)  # the CLI's grid
 @example(kind=HALF, truncation=256, cutoff=1e9, fc=FC, n=4096)
@@ -351,21 +359,22 @@ def test_period_samples_match_direct_evaluation(kind, truncation, cutoff, fc, n)
 
 
 @settings(max_examples=100, deadline=None)
-@given(kind=KINDS, truncation=st.integers(1, 900), cutoff=CUTOFFS, n=st.integers(2, 300))
-@example(kind=HALF, truncation=900, cutoff=1e9, n=7)  # each bin takes ~128 harmonics
+@given(
+    kind=KINDS, truncation=st.integers(1, 900), cutoff=CUTOFFS,
+    n=st.integers(1, 150).map(lambda m: 2 * m),
+)
+@example(kind=HALF, truncation=900, cutoff=1e9, n=6)  # odd half grid, ~150 per bin
 @example(kind=HALF, truncation=900, cutoff=1e9, n=8)  # each half-grid bin takes ~112
 def test_period_samples_fold_harmonics_as_bincount(kind, truncation, cutoff, n):
-    # the engine's construction, rebuilt: on a grid of m = n/2 points (even n,
-    # harmonic 2j is frequency j) or m = n points (odd n, every harmonic),
-    # frequency f lands in bin b = f mod m, or conjugated in bin m - b when
-    # b > m/2, added in frequency order by np.bincount; then one real inverse
-    # FFT, and for even n the c_1 cosine added and subtracted on the two
-    # half periods
+    # the engine's construction, rebuilt: on a grid of m = n/2 points,
+    # harmonic 2j is frequency j, and frequency f lands in bin b = f mod m, or
+    # conjugated in bin m - b when b > m/2, added in frequency order by
+    # np.bincount; then one real inverse FFT, and the c_1 cosine added and
+    # subtracted on the two half periods
     fs = output_series(kind, RcFilter.from_cutoff(2.0, cutoff), 1.5, FC, truncation)
     amps, scale = fs.amplitudes, fs.base.scale
-    even = n % 2 == 0
-    m = n // 2 if even else n
-    placed = amps[1::2] if even else amps
+    m = n // 2
+    placed = amps[1::2]
     bins = np.arange(1, placed.size + 1) % m
     mirrored = 2 * bins > m
     bins[mirrored] = m - bins[mirrored]
@@ -381,16 +390,13 @@ def test_period_samples_fold_harmonics_as_bincount(kind, truncation, cutoff, n):
     if m % 2 == 0:
         spectrum[m // 2] *= 2.0
     even_part = np.fft.irfft(spectrum, m, norm="forward")
-    if even:
-        c1 = amps[0] * scale
-        if c1:
-            roots = np.exp((2j * np.pi / n) * np.arange(m))
-            first = c1.real * roots.real - c1.imag * roots.imag
-        else:
-            first = np.zeros(m)
-        expected = np.concatenate([even_part + first, even_part - first])
+    c1 = amps[0] * scale
+    if c1:
+        roots = np.exp((2j * np.pi / n) * np.arange(m))
+        first = c1.real * roots.real - c1.imag * roots.imag
     else:
-        expected = even_part
+        first = np.zeros(m)
+    expected = np.concatenate([even_part + first, even_part - first])
     assert period_samples(fs, n).tobytes() == expected.tobytes()
 
 
@@ -400,7 +406,25 @@ def test_period_samples_need_two_samples():
         period_samples(fs, 1)
 
 
-@pytest.mark.parametrize("n", [4096, 7])
+def test_odd_sample_counts_are_refused():
+    # the period grid folds the even harmonics onto n/2 points; no caller
+    # passes an odd n
+    filt = RcFilter.from_cutoff(2.0, 1e9)
+    fs = output_series(FULL, filt, 1.0, FC)
+    amps, scales = fs.amplitudes[None, :], [fs.base.scale]
+    refused = [
+        lambda: period_grid(amps, scales, 0.0, 4095),
+        lambda: grid_extrema(amps, scales, 0.0, FC, 4095),
+        lambda: period_samples(fs, 4095),
+        lambda: sampled_ripple(FULL, filt, 1.0, FC, samples=4095),
+        lambda: sweep_cutoff(FULL, 2.0, 1.0, FC, 1e8, 1e10, 3, "log", samples=255),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="even"):
+            call()
+
+
+@pytest.mark.parametrize("n", [4096, 6])
 @pytest.mark.parametrize("k", [3, 255])
 def test_period_grid_rejects_odd_harmonics_above_one(n, k):
     # the engine serves the rectifier's series only, whose odd k >= 3 are zero
@@ -459,7 +483,7 @@ def test_period_extrema_match_oracle_sampler(fc, kind, ratio):
 @given(
     kind=KINDS,
     truncation=st.integers(1, 64),
-    samples_per_harmonic=st.integers(8, 32),
+    samples_per_harmonic=st.integers(4, 16).map(lambda m: 2 * m),
     cutoff=CUTOFFS,
     log_fc=st.floats(min_value=5.0, max_value=10.0),
 )
@@ -485,7 +509,7 @@ def test_polished_extrema_lie_between_the_grid_and_the_dense_oracle(
 @given(
     series=st.sampled_from([(FULL, 2), (FULL, 3), (HALF, 1)]),
     cutoff=CUTOFFS,
-    n=st.integers(6, 64),
+    n=st.integers(3, 32).map(lambda m: 2 * m),
     log_fc=st.floats(min_value=5.0, max_value=9.0),
 )
 def test_polished_extrema_of_one_harmonic_are_exact(series, cutoff, n, log_fc):
@@ -556,8 +580,8 @@ TWO_PI_LONG = 8 * np.arctan(LONG(1))
 def long_double_output(fs, ts):
     """The cosine sum in long double, phase ``fc t`` reduced mod 1, one term at a time."""
     base = fs.base
-    amps = (fs.gains * base.ak).astype(LONG)
-    phases = fs.phase_shifts.astype(LONG)
+    amps = (np.abs(fs.transfers) * base.ak).astype(LONG)
+    phases = np.angle(fs.transfers).astype(LONG)
     u = LONG(base.fundamental_fc) * ts.astype(LONG)
     u -= np.floor(u)
     acc = np.full(ts.shape, LONG(0.5) * LONG(base.a0) * LONG(fs.filt.resistance))
@@ -582,7 +606,9 @@ def test_eval_filtered_matches_long_double_cosine_sum(kind, truncation, cutoff, 
     fs = output_series(kind, RcFilter.from_cutoff(2.0, cutoff), 1.5, fc, truncation)
     ts = np.array(periods) / fc
     err = np.abs(eval_filtered(fs, ts) - long_double_output(fs, ts)).astype(float)
-    norm = abs(fs.dc_level) + fs.base.scale * float(np.sum(np.abs(fs.gains * fs.base.ak)))
+    base = fs.base
+    dc = base.scale * base.a0 * fs.filt.resistance / 2.0
+    norm = abs(dc) + base.scale * float(np.sum(np.abs(fs.transfers) * np.abs(base.ak)))
     assert np.max(err) <= 1e-12 * norm
 
 

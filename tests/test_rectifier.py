@@ -109,14 +109,6 @@ def test_series_coefficients_are_read_only():
         series.ak[0] = 1.0
 
 
-def test_series_magnitudes_and_phases():
-    series = build_series(FULL, truncation=8)
-    assert np.array_equal(series.magnitudes, np.abs(series.ak))
-    assert set(np.unique(series.phases)) <= {0.0, np.pi}
-    assert np.all(series.phases[series.ak < 0] == np.pi)
-    assert np.all(series.phases[series.ak > 0] == 0.0)
-
-
 def test_series_partial_sum_converges_at_peak():
     for kind, peak in ((FULL, 1.0), (HALF, 1.0)):
         series = build_series(kind, truncation=256, scale=1.0, fc=915e6)
