@@ -56,12 +56,19 @@ DEFAULT_SAMPLES = 4096
 # 64 KB of it in the period grid's reused scratch arrays
 _SWEEP_BLOCK = 8
 
-# log-tau bisection bracket (seconds); the upper end grows if ever needed
-_TAU_LO = 1e-15
+# capacitance solve on log tau.  The ripple depends on fc * tau alone and
+# starts to fall near a tenth of a carrier period, so the search starts one
+# period up (never above a tenth of _TAU_HI) and steps down by decades until
+# its ripple exceeds the budget; the upper end starts at _TAU_HI seconds and
+# grows if ever needed, up to _TAU_HI_MAX
+_TAU_START_PERIODS = 1.0
 _TAU_HI = 1e-3
 _TAU_HI_MAX = 1e3
 _TAU_REL_TOL = 1e-9
-_MAX_BISECTIONS = 200
+_LOG_TAU_TOL = math.log1p(_TAU_REL_TOL)
+# the solve's steps never outnumber bisection's by more than _SLACK_STEPS,
+# plus one where rounding leaves the last bracket a few ulps too wide
+_SLACK_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -208,11 +215,17 @@ def optimize_capacitance(
 ) -> DesignResult:
     """Smallest time constant whose ripple fits the budget.
 
-    Bisects on log tau, relying on ripple falling and DC voltage falling as
-    tau grows; the returned ripple is re-evaluated at the chosen capacitance
-    so the result is self-consistent with the metric.  A budget at or above
-    the unfiltered ripple returns C = 0 (the unconstrained optimum); one the
-    search range cannot reach raises ``ValueError``.
+    Relies on ripple falling and DC voltage falling as tau grows.  The
+    solve brackets the budget on log tau, then runs a safeguarded secant
+    (Illinois regula falsi, Dowell & Jarratt 1971) on ``log ripple - log
+    budget``.  Each step replaces one bracket end and is held within a
+    window around the bracket midpoint that halves per step, so the solve
+    never takes more than four steps beyond bisection's count.  It stops at a
+    relative bracket width of 1e-9 and returns the feasible end with the
+    ripple evaluated there, so the result is self-consistent with the
+    metric.  A budget at or above the unfiltered ripple returns C = 0 (the
+    unconstrained optimum); one the search range cannot reach raises
+    ``ValueError``.
     """
     require_finite_positive("ripple_budget", ripple_budget)
     if ripple_metric not in RIPPLE_METRICS:
@@ -239,25 +252,59 @@ def optimize_capacitance(
     if unfiltered <= ripple_budget:
         return result(0.0, unfiltered)
 
-    lo = _TAU_LO
-    while metric(lo / resistance) <= ripple_budget and lo > 1e-30:
+    # lo is always a tau whose ripple was evaluated above the budget, hi one
+    # whose ripple fits it; such a lo exists, since the unfiltered ripple does
+    # not fit.  A start that already fits is a tighter hi than _TAU_HI.
+    hi = None
+    lo = min(_TAU_START_PERIODS / fc, 0.1 * _TAU_HI)
+    while (ripple_lo := metric(lo / resistance)) <= ripple_budget:
+        hi, ripple_hi = lo, ripple_lo
         lo /= 10.0
-    hi = _TAU_HI
-    while metric(hi / resistance) > ripple_budget:
-        hi *= 10.0
-        if hi > _TAU_HI_MAX:
-            raise ValueError("ripple budget not reachable within the tau search range")
+        if lo == 0.0:
+            raise ValueError("ripple budget not resolvable above the smallest tau")
+    if hi is None:
+        hi = _TAU_HI
+        while (ripple_hi := metric(hi / resistance)) > ripple_budget:
+            hi *= 10.0
+            if hi > _TAU_HI_MAX:
+                raise ValueError("ripple budget not reachable within the tau search range")
 
-    for _ in range(_MAX_BISECTIONS):
-        if hi / lo - 1.0 <= _TAU_REL_TOL:
-            break
-        mid = math.sqrt(lo * hi)
-        if metric(mid / resistance) <= ripple_budget:
-            hi = mid
+    log_budget = math.log(ripple_budget)
+
+    def excess(ripple: float) -> float:
+        # a ripple that rounds to zero or below is feasible by any margin
+        return math.log(ripple) - log_budget if ripple > 0.0 else -math.inf
+
+    x_lo, f_lo = math.log(lo), excess(ripple_lo)
+    x_hi, f_hi = math.log(hi), excess(ripple_hi)
+    steps_left = math.ceil(math.log2((x_hi - x_lo) / _LOG_TAU_TOL)) + _SLACK_STEPS
+    margin = 0.5 * _LOG_TAU_TOL
+    last_end = None
+    while hi / lo - 1.0 > _TAU_REL_TOL:
+        width, mid = x_hi - x_lo, 0.5 * (x_lo + x_hi)
+        x = x_hi - f_hi * (width / (f_hi - f_lo))
+        if not x_lo < x < x_hi:  # also catches a nan step
+            x = mid
+        # Keep the step half the tolerance inside the bracket, so that once
+        # the secant sits on the root the next step lands across it, and
+        # within reach of the midpoint.  The reach halves per step, so no
+        # bracket is wider than bisection's would be _SLACK_STEPS steps earlier.
+        reach = max(0.0, 0.5 * (_LOG_TAU_TOL * 2.0**steps_left - width))
+        x = min(max(x, x_lo + margin, mid - reach), x_hi - margin, mid + reach)
+        steps_left -= 1
+        tau = math.exp(x)
+        ripple = metric(tau / resistance)
+        if ripple <= ripple_budget:
+            hi, x_hi, f_hi, ripple_hi = tau, x, excess(ripple), ripple
+            if last_end == "hi":  # Illinois: halve the value at the end kept twice
+                f_lo *= 0.5
+            last_end = "hi"
         else:
-            lo = mid
-    capacitance = hi / resistance
-    return result(capacitance, metric(capacitance))
+            lo, x_lo, f_lo = tau, x, excess(ripple)
+            if last_end == "lo":
+                f_hi *= 0.5
+            last_end = "lo"
+    return result(hi / resistance, ripple_hi)
 
 
 def time_trace(

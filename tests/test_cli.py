@@ -405,20 +405,23 @@ def test_emit_takes_a_float_array_as_its_rows(rows, width, data):
 # a_k R / (1 + j wt): the half-wave 13.56 MHz trace, whose near-zero rows
 # print 9 digits below the evaluator's ~1e-16 absolute accuracy (54 of 3001
 # rows moved, all |v| <= 7.8e-6 V, by <= 1e-14 V), and validate at 13.56 MHz,
-# which also gained the filtered_vs_steady_state line.
+# which also gained the filtered_vs_steady_state line.  The four design rows
+# were re-recorded when a safeguarded secant replaced the bisection of the
+# capacitance solve: it stops at the same 1e-9 bracket from another side, so
+# tau moves in the 9th digit and the printed ripple reads 0.0999999999.
 GOLDEN = {
     ("sweep", "--fcut", "1e8:1e11:50:log", "--fc", "13.56e6"):
         "5803f9ea894bdac82ba6549db5c0361c6d728444fe34bb427882c0928b10a041",
     ("sweep", "--fcut", "1e8:1e11:50:log", "--fc", "915e6"):
         "8511e7097762eb3e8eafc67b6ea8006a1ba227607ebfef40c68911c83b8b458d",
     ("design", "--budget", "0.1", "--metric", "sampled", "--kind", "full"):
-        "dfed893079b4665e5487c3ac7f82ac22868feb486e1e6e2c3faac5039296eaa2",
+        "90403b86433250f2b12d527d7dafcd93ff9498ecc3baa6366ea05ee1b651f072",
     ("design", "--budget", "0.1", "--metric", "analytic", "--kind", "full"):
-        "ab0e4c3eeecd16e35223ec40fe6e51e012697b4a20212a36f94d295afa60a70d",
+        "701e7439d90768972e028a37702c99d67129d8e5b93a8680c5d8b7c89f6f8152",
     ("design", "--budget", "0.1", "--metric", "sampled", "--kind", "half"):
-        "8c2260b98f39dccff7ef29a53772210eb26979f37f762341442314a7f4e6aa38",
+        "b3e4b84da7266b22bc4f9c6b60bfa94bf919d39096a7db51a005727527ea751a",
     ("design", "--budget", "0.1", "--metric", "analytic", "--kind", "half"):
-        "d3a8a000751ef8dedc565799bb78e06214053ccf1bc0bdc8a9448e6b4d5f1089",
+        "801e369de7c8d51570f372d4d7a90cffde8c37b555dd491dd906eaf5ab597323",
     ("trace", "--cap", "1e-10"):
         "d1fce3b4215e6c8431797ee23ffd06038d52cec37c0335bc2bb5b6082196e388",
     ("trace", "--kind", "half", "--fc", "13.56e6", "--cap", "1e-10",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rectenna.design
 from rectenna import (
     RcFilter,
     RectifierKind,
@@ -285,6 +286,121 @@ def test_optimize_rejects_or_returns_finite_design(budget):
     except ValueError:
         return
     assert all(math.isfinite(v) for v in (res.capacitance, res.tau, res.v_dc, res.ripple))
+
+
+def bisect_log_tau(ripple, budget, lo=1e-30, hi=1e3):
+    """Feasible end of a plain log-tau bisection to a relative width of 1e-9."""
+    assert ripple(lo) > budget >= ripple(hi)
+    while hi / lo - 1.0 > 1e-9:
+        mid = math.sqrt(lo * hi)
+        if ripple(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from([FULL, HALF]),
+    metric=st.sampled_from(["sampled_ptp", "analytic"]),
+    fc=st.sampled_from([13.56e6, 915e6]),
+    resistance=st.floats(0.5, 8.0),
+    log_fraction=st.floats(-6.0, math.log10(0.98)),
+)
+def test_optimize_matches_a_plain_bisection(kind, metric, fc, resistance, log_fraction):
+    def metric_at(capacitance):
+        filt = RcFilter(resistance, capacitance)
+        if metric == "analytic":
+            return analytic_ripple(kind, filt, 1.0, fc)
+        return sampled_ripple(kind, filt, 1.0, fc, samples=1024)
+
+    def ripple(tau):
+        return metric_at(tau / resistance)
+
+    budget = ripple(0.0) * 10**log_fraction
+    res = optimize_capacitance(kind, resistance, 1.0, fc, budget, metric, samples=1024)
+    assert res.ripple <= budget and res.feasible
+    assert res.ripple == metric_at(res.capacitance)
+    assert res.tau == pytest.approx(bisect_log_tau(ripple, budget), rel=2e-9)
+
+
+def count_sampled_ripple_calls(monkeypatch, ripple=sampled_ripple):
+    """Route the design solve's sampled metric through ``ripple``; list each call's tau."""
+    calls = []
+
+    def counted(kind, filt, *args):
+        calls.append(filt.tau)
+        return ripple(kind, filt, *args)
+
+    monkeypatch.setattr(rectenna.design, "sampled_ripple", counted)
+    return calls
+
+
+def test_optimize_golden_budget_takes_few_evaluations(monkeypatch):
+    # the 0.1 V budget at the CLI defaults; a log-tau bisection took 39
+    calls = count_sampled_ripple_calls(monkeypatch)
+    res = optimize_capacitance(FULL, RL, 1.0, FC, 0.1)
+    assert res.feasible and abs(res.ripple - 0.1) <= 1e-6 * 0.1
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("knee", [1e-12, 1e-10, 1e-8])
+def test_optimize_finds_the_root_of_a_single_pole_ripple(monkeypatch, knee):
+    # ripple 1 / sqrt(1 + (tau/knee)^2) meets 0.5 at tau = sqrt(3) knee; the
+    # curve bends between the bracket ends, where plain regula falsi keeps one
+    # end for 19-23 evaluations and the Illinois halving takes 11-14
+    calls = count_sampled_ripple_calls(
+        monkeypatch, lambda kind, filt, *args: 1.0 / math.sqrt(1.0 + (filt.tau / knee) ** 2)
+    )
+    res = optimize_capacitance(FULL, RL, 1.0, FC, 0.5)
+    root = math.sqrt(3.0) * knee
+    assert res.ripple <= 0.5
+    assert res.tau == pytest.approx(root, rel=1e-9)
+    assert len(calls) <= 15
+
+
+def test_optimize_converges_on_a_cliff_that_stalls_regula_falsi(monkeypatch):
+    # nearly flat above the budget, then a drop by e^-1e4 per unit of log tau:
+    # from any bracket end on the drop the secant lands next to the flat end
+    budget, cliff = 0.5, 3e-7
+
+    def ripple(kind, filt, *args):
+        tau = filt.tau
+        if tau <= cliff:
+            return 1.0 - 1e-3 * math.log1p(tau / 1e-15) / 40
+        return 0.6 * (cliff / tau) ** 1e4
+
+    calls = count_sampled_ripple_calls(monkeypatch, ripple)
+    res = optimize_capacitance(FULL, RL, 1.0, FC, budget)
+    root = cliff * math.exp(math.log(0.6 / budget) / 1e4)
+    assert res.ripple <= budget
+    assert root <= res.tau <= root * (1.0 + 1e-9)
+    # a log-tau bisection from the same bracket takes 37, and the secant is
+    # held to at most four evaluations more; Illinois unheld takes 53
+    assert len(calls) <= 45
+
+
+def test_optimize_refuses_a_budget_met_at_every_positive_tau(monkeypatch):
+    # only tau = 0 exceeds the budget: the low end steps down to underflow
+    count_sampled_ripple_calls(monkeypatch, lambda kind, filt, *args: 1.0 if filt.tau else 2.0)
+    with pytest.raises(ValueError, match="smallest tau"):
+        optimize_capacitance(FULL, RL, 1.0, FC, 1.5)
+
+
+@pytest.mark.parametrize("kind", [FULL, HALF])
+def test_optimize_scales_with_the_carrier(kind):
+    # the ripple depends on fc * tau alone, so fc * tau and v_dc must not
+    # move with the carrier, however far tau falls below 1e-30 s
+    results = [
+        optimize_capacitance(kind, RL, 1.0, fc, 0.5, ripple_metric="analytic")
+        for fc in (915e6, 1e20, 1e33)
+    ]
+    base = results[0]
+    for fc, res in zip((1e20, 1e33), results[1:]):
+        assert res.feasible
+        assert fc * res.tau == pytest.approx(915e6 * base.tau, rel=1e-8)
+        assert res.v_dc == pytest.approx(base.v_dc, rel=1e-8)
 
 
 def grid_one_period(n=4096):
