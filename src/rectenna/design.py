@@ -283,7 +283,10 @@ def optimize_capacitance(
     while hi / lo - 1.0 > _TAU_REL_TOL:
         width, mid = x_hi - x_lo, 0.5 * (x_lo + x_hi)
         x = x_hi - f_hi * (width / (f_hi - f_lo))
-        if not x_lo < x < x_hi:  # also catches a nan step
+        # A secant on a bracket end says that end holds the root to rounding,
+        # and the clamp below turns it into the step that closes the bracket;
+        # only a nan step, from a ripple that rounds to zero, bisects.
+        if not x_lo <= x <= x_hi:
             x = mid
         # Keep the step half the tolerance inside the bracket, so that once
         # the secant sits on the root the next step lands across it, and

@@ -360,6 +360,22 @@ def test_optimize_finds_the_root_of_a_single_pole_ripple(monkeypatch, knee):
     assert len(calls) <= 15
 
 
+@pytest.mark.parametrize("budget", [0.5, 1e-2, 1e-4])
+@pytest.mark.parametrize("knee", [1e-12, 1e-11, 1e-10, 1e-9])
+def test_optimize_closes_the_bracket_once_the_secant_hits_the_root(monkeypatch, knee, budget):
+    # ripple knee / tau above the knee is linear in log-log, so the first
+    # secant step lands on the root and the next one on that bracket end; a
+    # solve that bisects from there took 32-38 evaluations where this takes 4-8
+    calls = count_sampled_ripple_calls(
+        monkeypatch, lambda kind, filt, *args: min(1.0, knee / max(filt.tau, knee))
+    )
+    res = optimize_capacitance(FULL, RL, 1.0, FC, budget)
+    root = knee / budget
+    assert res.ripple <= budget
+    assert root * (1.0 - 1e-15) <= res.tau <= root * (1.0 + 1e-9)
+    assert len(calls) <= 10
+
+
 def test_optimize_converges_on_a_cliff_that_stalls_regula_falsi(monkeypatch):
     # nearly flat above the budget, then a drop by e^-1e4 per unit of log tau:
     # from any bracket end on the drop the secant lands next to the flat end
