@@ -127,12 +127,10 @@ def _filter_from_args(args) -> RcFilter:
 
 
 def _cmd_coeffs(args) -> int:
-    if args.k_max < 0:
-        raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
+    quads = oracle.quad_coefficient(args.kind, np.arange(args.k_max + 1), args.fc).tolist()
     rows = []
-    for k in range(args.k_max + 1):
+    for k, quad in enumerate(quads):
         closed = fourier_coefficient(args.kind, k)
-        quad = oracle.quad_coefficient(args.kind, k, args.fc)
         rows.append([k, closed, quad, abs(closed - quad)])
     _emit(["k", "a_closed", "a_quad", "abs_diff"], rows, args)
     return 0
@@ -215,13 +213,15 @@ def _validation_checks(fc: float, k_max: int):
     """Yield (name, ok, detail) for every oracle-agreement invariant."""
     full, half = RectifierKind.FULL_WAVE, RectifierKind.HALF_WAVE
 
+    def max_abs(values) -> float:
+        return float(np.max(np.abs(values)))
+
+    harmonics = np.arange(k_max + 1)
     for kind, label in ((full, "full"), (half, "half")):
-        err = max(
-            abs(fourier_coefficient(kind, k) - oracle.quad_coefficient(kind, k))
-            for k in range(k_max + 1)
-        )
+        closed = np.array([fourier_coefficient(kind, k) for k in range(k_max + 1)])
+        err = max_abs(closed - oracle.quad_coefficient(kind, harmonics))
         yield f"coefficients_vs_quadrature[{label}]", err < 1e-8, f"max|diff|={err:.3e}"
-        berr = max(abs(oracle.quad_b_coefficient(kind, k)) for k in range(k_max + 1))
+        berr = max_abs(oracle.quad_b_coefficient(kind, harmonics))
         yield f"sine_coefficients_zero[{label}]", berr < 1e-9, f"max|b_k|={berr:.3e}"
 
     ok = all(
@@ -231,18 +231,22 @@ def _validation_checks(fc: float, k_max: int):
     )
     yield "full_is_twice_half", ok, "exact"
 
-    probe = [0, 1, 2, 5, 16, min(64, max(2, k_max))]
+    probe = np.array([0, 1, 2, 5, 16, min(64, max(2, k_max))])
     derr = max(
-        abs(oracle.quad_coefficient(kind, k, refine=1) - oracle.quad_coefficient(kind, k, refine=2))
+        max_abs(
+            oracle.quad_coefficient(kind, probe, refine=1)
+            - oracle.quad_coefficient(kind, probe, refine=2)
+        )
         for kind in (full, half)
-        for k in probe
     )
     yield "quadrature_panel_doubling", derr < 1e-10, f"max|diff|={derr:.3e}"
 
     ferr = max(
-        abs(oracle.quad_coefficient(kind, k, fc=1.0) - oracle.quad_coefficient(kind, k, fc=fc))
+        max_abs(
+            oracle.quad_coefficient(kind, probe, fc=1.0)
+            - oracle.quad_coefficient(kind, probe, fc=fc)
+        )
         for kind in (full, half)
-        for k in probe
     )
     yield "quadrature_fc_invariance", ferr < 1e-12, f"max|diff|={ferr:.3e}"
 
@@ -434,6 +438,8 @@ def main(argv=None) -> int:
         require_finite_positive("--rl", args.rl)
         if args.truncation < 1:
             raise ValueError(f"--truncation must be >= 1, got {args.truncation}")
+        if getattr(args, "k_max", 0) < 0:  # coeffs and validate
+            raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
         # out-of-range inputs overflow to inf or nan inside numpy; _emit
         # refuses such a table, so the warnings would only precede that error
         with np.errstate(over="ignore", invalid="ignore"):

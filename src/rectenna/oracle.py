@@ -7,6 +7,13 @@ output comes from the time-domain steady state of the RC filter's
 differential equation, and waveform statistics come from dense uniform
 sampling.  Panel and sample reductions use a fixed order, so results are
 deterministic.
+
+The coefficient quadrature takes an integer array of harmonics in one call:
+one node set, its panels sized by the largest harmonic, serves all of them,
+and ``exp(1j k theta)`` comes by angle addition from ~2 sqrt(K) evaluated
+exponentials, which rounds to a few ulp.  Their phases are reduced in whole
+turns of the carrier with integer arithmetic, so the rounding does not grow
+with k.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ __all__ = [
 ]
 
 _GAUSS_ORDER = 32
+# panels per block of the coefficient quadrature: its working arrays hold
+# block x harmonics entries, whatever the node count
+_BLOCK_PANELS = 64
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ARGMAX_RESOLUTION = 1e-12  # seconds
 
@@ -42,16 +52,22 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _integrate(f: Callable, a: float, b: float, panels: int) -> float:
-    """Composite Gauss-Legendre integral of a vectorizable f over [a, b]."""
-    nodes, weights = _gauss_nodes(_GAUSS_ORDER)
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    # (panels, order) grid evaluated in one call, reduced in fixed order
-    points = mids[:, None] + halves[:, None] * nodes[None, :]
-    values = f(points)
-    return float(np.sum(halves * (values @ weights)))
+def _node_set(edges, panels) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on the segments between
+    consecutive ``edges``, segment i cut into ``panels[i]`` equal panels.
+
+    Nodes come panel by panel in increasing order.  Panel midpoints are odd
+    multiples of the half width about the segment's centre, so mirrored
+    segments get mirrored nodes bit for bit.
+    """
+    x, w = _gauss_nodes(_GAUSS_ORDER)
+    nodes, weights = [], []
+    for lo, hi, n in zip(edges[:-1], edges[1:], panels):
+        half = 0.5 * (hi - lo) / n
+        mids = 0.5 * (lo + hi) + np.arange(1 - n, n, 2) * half
+        nodes.append((mids[:, None] + half * x).ravel())
+        weights.append(np.tile(half * w, n))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _segment_panels(length: float, k: int, fc: float, refine: int) -> int:
@@ -71,45 +87,120 @@ def _require_quadrature_range(fc: float, top_harmonic: int) -> None:
         )
 
 
-def _quad_projection(kind: RectifierKind, k: int, fc: float, refine: int, use_sine: bool) -> float:
-    if k < 0:
-        raise ValueError(f"harmonic index must be >= 0, got {k}")
+def _harmonic_indices(k) -> np.ndarray:
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu":
+        raise ValueError(f"harmonic indices must be integers, got dtype {ks.dtype}")
+    if ks.size == 0:
+        raise ValueError("need at least one harmonic index")
+    if ks.min() < 0:
+        raise ValueError(f"harmonic index must be >= 0, got {ks.min()}")
+    return ks
+
+
+def _unit(angle: np.ndarray) -> np.ndarray:
+    """``exp(1j * angle)``, filled by one cos and one sin."""
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+def _quad_projection(kind: RectifierKind, k, fc: float, refine: int):
+    """``2 fc * integral of g(cos(theta)) exp(1j k theta) dt`` over one period,
+    ``theta = 2 pi fc t``, for every entry of ``k``; returns ``(k, projections)``.
+
+    One node set serves every k, its panels sized by the largest.  With
+    ``B = isqrt(max k) + 1`` each ``k = B q + r`` (``0 <= r < B``) takes
+    ``exp(1j k theta) = exp(1j B q theta) exp(1j r theta)``, so only ~2 sqrt(K)
+    exponentials are evaluated by cos and sin, each split once more into a
+    panel factor and a node factor that the segment's panels share.  Their
+    phases are formed in turns of the carrier from integers, where a panel
+    midpoint sits at an exact fraction of the period, so they stay within a
+    few ulp for every k; the products add a few ulp more.  Nodes run in fixed
+    blocks of panels, so memory does not grow with k times the node count.
+    """
+    ks = _harmonic_indices(k)
     if fc <= 0:
         raise ValueError(f"fc must be > 0, got {fc}")
     if refine < 1:
         raise ValueError(f"refine must be >= 1, got {refine}")
-    _require_quadrature_range(fc, k)
-    w = 2.0 * math.pi * fc
-    trig = np.sin if use_sine else np.cos
-
-    def integrand(t):
-        return rectify(kind, np.cos(w * t)) * trig((w * k) * t)
-
+    top = int(ks.max())
+    _require_quadrature_range(fc, top)
     # kinks of g(cos(2 pi fc t)) sit at +-1/(4 fc)
     quarter = 1.0 / (4.0 * fc)
     half = 1.0 / (2.0 * fc)
-    total = 0.0
-    for lo, hi in ((-half, -quarter), (-quarter, quarter), (quarter, half)):
-        total += _integrate(integrand, lo, hi, _segment_panels(hi - lo, k, fc, refine))
-    return 2.0 * fc * total
+    edges = (-half, -quarter, quarter, half)
+    panels = [_segment_panels(hi - lo, top, fc, refine) for lo, hi in zip(edges[:-1], edges[1:])]
+    t, weights = _node_set(edges, panels)
+    values = rectify(kind, np.cos((2.0 * math.pi * fc) * t)) * weights
+    del t, weights  # the blocks read only the weighted values
+    base = math.isqrt(top) + 1
+    count = top // base + 1
+    # the harmonics whose exponentials are evaluated: B q for q < count, then r < B
+    rows = np.concatenate([base * np.arange(count), np.arange(base)])
+    x, _ = _gauss_nodes(_GAUSS_ORDER)
+    total = np.zeros((count, base), dtype=complex)
+    products = np.empty((_BLOCK_PANELS, 2 * count * base))
+    start = 0
+    # segment ends in quarter turns of the carrier.  A segment of n panels
+    # spanning s quarter turns has its panel midpoints at odd multiples of
+    # 1/d turns from its start, d = 8 n / s: in units of 1/d turns they are
+    # the integers d lo / 4 + 1, d lo / 4 + 3, ...
+    for n, lo, hi in zip(panels, (-2, -1, 1), (-1, 1, 2)):
+        d = 8 * n // (hi - lo)
+        node = _unit((2.0 * math.pi / d) * np.multiply.outer(x, rows))
+        # exp(1j k x 2 pi / d) for every k = B q + r, viewed as real (order, 2 K)
+        # so that each block takes one real matrix product
+        node_factor = (node[:, :count, None] * node[:, None, count:]).reshape(_GAUSS_ORDER, -1)
+        node_factor = node_factor.view(float)
+        mids = d * lo // 4 + np.arange(1, 2 * n, 2)
+        for first in range(0, n, _BLOCK_PANELS):
+            block = mids[first:first + _BLOCK_PANELS]
+            stop = start + block.size * _GAUSS_ORDER
+            inner = np.matmul(
+                values[start:stop].reshape(block.size, _GAUSS_ORDER),
+                node_factor,
+                out=products[:block.size],
+            ).view(complex).reshape(block.size, count, base)
+            panel = _unit((2.0 * math.pi / d) * (np.multiply.outer(block, rows) % d))
+            inner *= panel[:, :count, None]
+            inner *= panel[:, None, count:]
+            total += inner.sum(axis=0)
+            start = stop
+    return ks, (2.0 * fc) * total.ravel()[ks]
 
 
-def quad_coefficient(kind: RectifierKind, k: int, fc: float = 1.0, refine: int = 1) -> float:
-    """Cosine coefficient by quadrature:
+def _result(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def quad_coefficient(kind: RectifierKind, k, fc: float = 1.0, refine: int = 1):
+    """Cosine coefficient(s) by quadrature:
     ``2 fc * integral of g(cos(2 pi fc t)) cos(2 pi k fc t) over one period``.
+
+    ``k`` is one harmonic index (returns a float) or an integer array of them
+    (returns an array of its shape).  Every k shares one kink-aligned node
+    set whose panels are sized by the largest k, and ``cos(k theta)`` comes
+    by angle addition from ~2 sqrt(max k) exponentials, rounding to a few
+    ulp; a scalar and an array call agree to roundoff, not bit for bit.
 
     Independent of ``fc`` up to roundoff (the substitution z = 2 pi fc t
     removes it); passing different carriers is a consistency check, not a
     model change.  ``refine`` multiplies the automatic panel count.
     """
-    return _quad_projection(kind, k, fc, refine, use_sine=False)
+    _, projections = _quad_projection(kind, k, fc, refine)
+    return _result(np.real(projections))
 
 
-def quad_b_coefficient(kind: RectifierKind, k: int, fc: float = 1.0, refine: int = 1) -> float:
-    """Sine coefficient by quadrature; vanishes for all k by even symmetry."""
-    if k == 0:
-        return 0.0
-    return _quad_projection(kind, k, fc, refine, use_sine=True)
+def quad_b_coefficient(kind: RectifierKind, k, fc: float = 1.0, refine: int = 1):
+    """Sine coefficient(s) by quadrature; vanish for all k by even symmetry.
+
+    Takes ``k`` as :func:`quad_coefficient` does, from the same node set and
+    the same angle addition; b_0 is 0 by definition.
+    """
+    ks, projections = _quad_projection(kind, k, fc, refine)
+    return _result(np.where(ks == 0, 0.0, np.imag(projections)))
 
 
 def quad_multisine_a0(kind: RectifierKind, fc: float, df: float, refine: int = 1) -> float:
@@ -132,11 +223,6 @@ def quad_multisine_a0(kind: RectifierKind, fc: float, df: float, refine: int = 1
     _require_quadrature_range(fc, 0)
     if not math.isfinite(math.pi * df):
         raise ValueError(f"df = {df!r} is out of the quadrature's range: pi*df is not finite")
-    w = 2.0 * math.pi * fc
-
-    def integrand(t):
-        return rectify(kind, 2.0 * np.cos((math.pi * df) * t) * np.cos(w * t))
-
     quarter = 1.0 / (4.0 * fc)
     half = 1.0 / (2.0 * fc)
     breakpoints = {-half, -quarter, quarter, half}
@@ -144,10 +230,9 @@ def quad_multisine_a0(kind: RectifierKind, fc: float, df: float, refine: int = 1
         # envelope zeros enter the carrier period
         breakpoints.update({-0.5 / df, 0.5 / df})
     edges = sorted(breakpoints)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += _integrate(integrand, lo, hi, refine * 16)
-    return fc * total
+    t, weights = _node_set(edges, [refine * 16] * (len(edges) - 1))
+    values = rectify(kind, 2.0 * np.cos((math.pi * df) * t) * np.cos((2.0 * math.pi * fc) * t))
+    return fc * float(weights @ values)
 
 
 def steady_state(kind: RectifierKind, resistance: float, scale: float, fc: float, tau: float, t):

@@ -1,11 +1,13 @@
 import ast
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import rectenna.design
 import rectenna.oracle
@@ -79,6 +81,55 @@ def test_quadrature_input_validation():
         quad_coefficient(FULL, 2, fc=0.0)
     with pytest.raises(ValueError):
         quad_coefficient(FULL, 2, refine=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from([FULL, HALF]),
+    ks=arrays(np.int64, array_shapes(max_dims=2, max_side=4), elements=st.integers(0, 600)),
+    fc=st.one_of(
+        st.just(1.0),
+        st.floats(min_value=13.553e6, max_value=13.567e6),  # ISM band around 13.56 MHz
+        st.floats(min_value=902e6, max_value=928e6),  # ISM band around 915 MHz
+    ),
+)
+@example(kind=FULL, ks=np.arange(592, 601), fc=1.0)
+def test_array_harmonics_match_closed_form_and_scalar_calls(kind, ks, fc):
+    # the array call sizes one node set by max(ks); each scalar call sizes its
+    # own, so the two agree to roundoff, not bit for bit
+    a = quad_coefficient(kind, ks, fc)
+    b = quad_b_coefficient(kind, ks, fc)
+    assert a.shape == ks.shape and b.shape == ks.shape
+    closed = np.array([fourier_coefficient(kind, int(k)) for k in ks.flat]).reshape(ks.shape)
+    assert np.max(np.abs(a - closed)) <= 1e-12
+    assert np.max(np.abs(b)) <= 1e-12
+    for k, a_k, b_k in zip(ks.flat, a.flat, b.flat):
+        scalar_a = quad_coefficient(kind, int(k), fc)
+        scalar_b = quad_b_coefficient(kind, int(k), fc)
+        assert type(scalar_a) is float and type(scalar_b) is float
+        assert abs(scalar_a - a_k) <= 1e-14
+        assert abs(scalar_b - b_k) <= 1e-14
+
+
+@pytest.mark.parametrize("quad", [quad_coefficient, quad_b_coefficient])
+@pytest.mark.parametrize(
+    "ks", [np.array([3, -1, 5]), np.array([1.0, 2.0]), np.array([], dtype=np.int64)]
+)
+def test_quadrature_rejects_negative_float_or_empty_harmonics(quad, ks):
+    with pytest.raises(ValueError):
+        quad(FULL, ks)
+
+
+def test_quadrature_memory_does_not_grow_with_harmonics_times_nodes():
+    # 2001 harmonics on 128k nodes: without node blocks the working arrays
+    # grow with harmonics x nodes (over 100 MB here); blocks keep a few MB
+    tracemalloc.start()
+    try:
+        quad_coefficient(FULL, np.arange(2001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 @pytest.mark.parametrize("fc", [1e308, 1e-310, 5e-324, math.nan])
