@@ -1,8 +1,9 @@
 """Fourier-series model of an RF energy-harvesting rectenna.
 
-The model chain is: a sinewave (or two-tone multisine) source, an ideal
-full-wave or half-wave rectifier expanded as a truncated cosine series, and
-a parallel RC low-pass filter applied harmonic by harmonic.  Closed forms
+The model chain is: a sinewave source (with a closed-form DC coefficient for
+a two-tone source), an ideal full-wave or half-wave rectifier expanded as a
+truncated cosine series, and a parallel RC low-pass filter applied harmonic
+by harmonic.  Closed forms
 for the DC voltage and ripple are paired with an independent quadrature /
 sampling oracle, and a design layer searches the time constant for the best
 DC-vs-ripple trade-off.
@@ -51,13 +52,6 @@ from .rectifier import (
     multisine_a0,
     rectify,
 )
-from .waveforms import (
-    MultisineSpec,
-    ToneSpec,
-    eval_multisine,
-    eval_multisine_envelope,
-    eval_sinewave,
-)
 
 __version__ = "0.1.0"
 
@@ -66,12 +60,10 @@ __all__ = [
     "DesignResult",
     "FilteredSeries",
     "FourierSeries",
-    "MultisineSpec",
     "RcFilter",
     "RectifierKind",
     "SampleStats",
     "SweepRow",
-    "ToneSpec",
     "amplification_factor",
     "analytic_ripple",
     "build_series",
@@ -79,10 +71,7 @@ __all__ = [
     "dc_limits",
     "dc_voltage",
     "eval_filtered",
-    "eval_multisine",
-    "eval_multisine_envelope",
     "eval_series",
-    "eval_sinewave",
     "filtered_series",
     "fourier_coefficient",
     "make_grid",

@@ -163,6 +163,8 @@ def sweep_cutoff(
     :func:`sampled_ripple` give at its cut-off, but the grid is evaluated in
     blocks of cut-offs: one filter matrix and one inverse FFT per block.
     """
+    require_finite_positive("amplitude", amplitude)
+    require_finite_positive("fc", fc)
     require_finite_positive("cutoff_min", cutoff_min)
     require_finite_positive("cutoff_max", cutoff_max)
     cutoffs = make_grid(cutoff_min, cutoff_max, n_points, spacing).tolist()
@@ -227,6 +229,8 @@ def optimize_capacitance(
     unconstrained optimum); one the search range cannot reach raises
     ``ValueError``.
     """
+    require_finite_positive("amplitude", amplitude)
+    require_finite_positive("fc", fc)
     require_finite_positive("ripple_budget", ripple_budget)
     if ripple_metric not in RIPPLE_METRICS:
         raise ValueError(f"ripple_metric must be one of {RIPPLE_METRICS}, got {ripple_metric!r}")
@@ -323,9 +327,13 @@ def time_trace(
     Returns a float64 ``(N, 2)`` array whose row i is ``(t_i, v_o(t_i))``.
     The CLI's table writer flattens it in one pass, with no per-row tuples.
     """
+    require_finite_positive("amplitude", amplitude)
+    require_finite_positive("fc", fc)
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D array of times")
+    if not np.isfinite(ts).all():
+        raise ValueError("t_grid must hold finite times")
     fs = _output_series(kind, filt, amplitude, fc, truncation)
     return np.column_stack((ts, eval_filtered(fs, ts)))
 

@@ -459,6 +459,32 @@ def test_trace_rejects_empty_grid():
         time_trace(FULL, RcFilter.from_cutoff(RL, 1e9), 1.0, FC, [])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["amplitude", "fc"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda **source: sweep_cutoff(
+            FULL, RL, cutoff_min=1e8, cutoff_max=1e9, n_points=4, **source
+        ),
+        lambda **source: optimize_capacitance(FULL, RL, ripple_budget=0.1, **source),
+        lambda **source: time_trace(FULL, RcFilter(RL, 1e-10), t_grid=[0.0, 1e-9], **source),
+    ],
+    ids=["sweep_cutoff", "optimize_capacitance", "time_trace"],
+)
+def test_entry_points_reject_bad_amplitude_or_carrier(entry, name, value):
+    # the CLI checks these too, but a library caller must get an error, not nan rows
+    source = {"amplitude": 1.0, "fc": FC, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        entry(**source)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trace_rejects_non_finite_times(bad):
+    with pytest.raises(ValueError, match="finite times"):
+        time_trace(FULL, RcFilter(RL, 1e-10), 1.0, FC, [0.0, bad])
+
+
 @pytest.mark.parametrize("kind,filt", [(FULL, RcFilter(RL, 0.0)), (HALF, RcFilter(3.1, 1e-10))])
 def test_trace_is_a_float_array_of_time_value_rows(kind, filt):
     # unaligned window; each row must be bitwise the scalar evaluation at t_i

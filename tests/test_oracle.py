@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import inspect
 import math
 import tracemalloc
@@ -352,3 +353,12 @@ def test_oracle_and_engine_do_not_import_each_other():
     assert imported_names(rectenna.oracle).isdisjoint({"rcfilter", "design"})
     for engine in (rectenna.rcfilter, rectenna.design):
         assert "oracle" not in imported_names(engine), engine.__name__
+
+
+def test_package_exports_resolve_once_each():
+    assert len(set(rectenna.__all__)) == len(rectenna.__all__)
+    for name in rectenna.__all__:
+        assert hasattr(rectenna, name), name
+    # the source enters the model only as the series scale and, for two
+    # tones, through multisine_a0; there is no source-waveform module
+    assert importlib.util.find_spec("rectenna.waveforms") is None
