@@ -14,14 +14,15 @@ import numpy as np
 
 from .rcfilter import (
     RcFilter,
+    _grid_extrema,
+    _omega_tau,
+    _transfers,
     aligned_peaks,
     amplification_factor,
     dc_voltage,
     eval_filtered,
     filter_response,
     filtered_series,
-    grid_extrema,
-    period_extrema,
     require_finite_positive,
     ripple_peak,
 )
@@ -95,11 +96,6 @@ class DesignResult:
     feasible: bool
 
 
-def _output_series(kind, filt, amplitude, fc, truncation):
-    base = build_series(kind, truncation, scale=amplification_factor(filt, fc) * amplitude, fc=fc)
-    return filtered_series(base, filt)
-
-
 def sampled_ripple(
     kind: RectifierKind,
     filt: RcFilter,
@@ -108,9 +104,26 @@ def sampled_ripple(
     truncation: int = DEFAULT_TRUNCATION,
     samples: int = DEFAULT_SAMPLES,
 ) -> float:
-    """Peak-to-peak of the filter output over one carrier period, sampled."""
-    vmax, vmin = period_extrema(_output_series(kind, filt, amplitude, fc, truncation), samples)
-    return vmax - vmin
+    """Peak-to-peak of the filter output over one carrier period, sampled.
+
+    Bitwise the :func:`period_extrema` spread of the output series, as one
+    row of a sweep block: no series object is built.
+    """
+    require_finite_positive("amplitude", amplitude)
+    require_finite_positive("fc", fc)
+    scale = amplification_factor(filt, fc) * amplitude
+    transfers = _transfers(filt.resistance, _omega_tau(fc, [filt.tau], truncation))
+    (ripple,) = _sampled_ripples(kind, filt.resistance, transfers, (scale,), fc, samples)
+    return ripple
+
+
+def _sampled_ripples(kind, resistance, transfers, scales, fc, samples) -> list[float]:
+    # each transfer row's output, scaled by its entry of scales, as a period
+    # grid: the rectifier's odd harmonics k >= 3 are exact zeros, unscanned
+    amps = coefficients(kind, transfers.shape[1]) * transfers
+    dc = 0.5 * fourier_coefficient(kind, 0) * resistance
+    vmaxs, vmins = _grid_extrema(amps, scales, dc, fc, samples)
+    return [vmax - vmin for vmax, vmin in zip(vmaxs, vmins)]
 
 
 def analytic_ripple(
@@ -121,6 +134,8 @@ def analytic_ripple(
     truncation: int = DEFAULT_TRUNCATION,
 ) -> float:
     """Aligned-phase peak approximation minus the DC level."""
+    require_finite_positive("amplitude", amplitude)
+    require_finite_positive("fc", fc)
     return ripple_peak(kind, filt, amplitude, fc, truncation) - dc_voltage(
         kind, filt, amplitude, fc
     )
@@ -185,13 +200,12 @@ def _sweep_block(kind, cutoffs, filters, amplitude, fc, truncation, samples) -> 
         resistance, fc, [filt.tau for filt in filters], truncation
     )
     peaks = aligned_peaks(kind, scales, resistance, atten).tolist()
-
-    amps = coefficients(kind, truncation) * transfers
-    dc = 0.5 * fourier_coefficient(kind, 0) * resistance
-    vmaxs, vmins = grid_extrema(amps, scales, dc, fc, samples)
+    ripples = _sampled_ripples(kind, resistance, transfers, scales, fc, samples)
+    a0 = fourier_coefficient(kind, 0)
     rows = []
-    for cutoff, filt, peak, vmax, vmin in zip(cutoffs, filters, peaks, vmaxs, vmins):
-        v_dc = dc_voltage(kind, filt, amplitude, fc)
+    for cutoff, filt, scale, peak, ripple in zip(cutoffs, filters, scales, peaks, ripples):
+        # dc_voltage's product in its order, as scale is delta * amplitude
+        v_dc = scale * resistance * a0 / 2.0
         rows.append(
             SweepRow(
                 cutoff=cutoff,
@@ -199,7 +213,7 @@ def _sweep_block(kind, cutoffs, filters, amplitude, fc, truncation, samples) -> 
                 capacitance=filt.capacitance,
                 v_dc=v_dc,
                 ripple_analytic=peak - v_dc,
-                ripple_sampled=vmax - vmin,
+                ripple_sampled=ripple,
             )
         )
     return rows
@@ -334,8 +348,8 @@ def time_trace(
         raise ValueError("t_grid must be a non-empty 1-D array of times")
     if not np.isfinite(ts).all():
         raise ValueError("t_grid must hold finite times")
-    fs = _output_series(kind, filt, amplitude, fc, truncation)
-    return np.column_stack((ts, eval_filtered(fs, ts)))
+    base = build_series(kind, truncation, scale=amplification_factor(filt, fc) * amplitude, fc=fc)
+    return np.column_stack((ts, eval_filtered(filtered_series(base, filt), ts)))
 
 
 def rectified_reference(

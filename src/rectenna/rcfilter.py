@@ -15,7 +15,11 @@ inverse FFT of length n/2 along its rows gives them on half the grid; the
 c_1 cosine is then added on one half period and subtracted on the other.
 The spectrum, the c_1 term and the grid live in per-thread scratch arrays
 that later calls reuse.  :func:`period_samples` and :func:`period_extrema`
-are the one-row case.  Where that grid is coarser than 1e-12 s,
+are the one-row case.  The public grid functions refuse amplitudes with a
+nonzero odd harmonic k >= 3; the design layer's sweep blocks and its
+one-row ripple metric skip that scan, since their amplitudes are the
+rectifier coefficients times the transfers, and build no series object.
+Where that grid is coarser than 1e-12 s,
 :func:`grid_extrema` Newton-polishes both its extrema on the exact trig
 polynomial; finer grids keep their grid extrema.  :func:`eval_filtered` serves arbitrary times from
 a Taylor table (:func:`taylor_table`): one period grid whose D + 1 rows are
@@ -140,8 +144,16 @@ def _omega_tau(fc: float, taus: list[float], truncation: int) -> np.ndarray:
         if nonzero:
             wt[nonzero] = _omega_tau(fc, [taus[r] for r in nonzero], truncation)
         return wt
+    return np.array(taus)[:, None] * _harmonic_omegas(fc, truncation)
+
+
+@lru_cache(maxsize=8)
+def _harmonic_omegas(fc: float, truncation: int) -> np.ndarray:
+    """``2 pi k fc`` for k = 1..K, read-only: one carrier's row for every tau."""
     ks = np.arange(1, truncation + 1, dtype=float)
-    return np.array(taus)[:, None] * (2.0 * np.pi * ks * fc)
+    omegas = 2.0 * np.pi * ks * fc
+    omegas.setflags(write=False)
+    return omegas
 
 
 def _attenuation(wt: np.ndarray) -> np.ndarray:
@@ -252,23 +264,30 @@ def _fold_one_sided(spectrum: np.ndarray, placed: np.ndarray, points: int) -> No
 
     Frequency f aliases exactly into bin ``b = f mod points``; a bin above
     ``points / 2`` is the conjugate of bin ``points - b``.  Each bin adds its
-    frequencies in increasing order, as ``np.bincount`` would.
+    frequencies in increasing order, as ``np.bincount`` would.  The sums run
+    in place on views of ``spectrum``, with no copy back.
     """
     spectrum.fill(0.0)
     top, half = placed.shape[1], points // 2
     for start in range(0, top + 1, points):
         lo, hi = max(start, 1), min(start + points, top + 1)
         mid = min(hi, start + half + 1)
-        spectrum[:, lo - start : mid - start] += placed[:, lo - 1 : mid - 1]
+        bins = spectrum[:, lo - start : mid - start]
+        np.add(bins, placed[:, lo - 1 : mid - 1], out=bins)
         if mid < hi:
             mirrored = placed[:, mid - 1 : hi - 1][:, ::-1].conj()
-            spectrum[:, start + points - hi + 1 : start + points - mid + 1] += mirrored
+            bins = spectrum[:, start + points - hi + 1 : start + points - mid + 1]
+            np.add(bins, mirrored, out=bins)
+
+
+def _check_samples(n: int) -> None:
+    if n < 2 or n % 2:
+        raise ValueError(f"need an even number of samples >= 2, got {n}")
 
 
 def _check_grid(amplitudes: np.ndarray, n: int) -> None:
     # the arguments period_grid refuses
-    if n < 2 or n % 2:
-        raise ValueError(f"need an even number of samples >= 2, got {n}")
+    _check_samples(n)
     if np.any(amplitudes[:, 2::2]):
         raise ValueError("odd harmonics k >= 3 must be zero, as the rectifier's are")
 
@@ -283,16 +302,21 @@ def _fill_grid(amplitudes: np.ndarray, scales, dc: float, n: int, spectrum, fund
     points = n // 2
     placed = amplitudes[:, 1::2]
     _fold_one_sided(spectrum, placed, points)
-    spectrum[:, 0] += dc
-    # irfft (norm="forward") sums bin 0, the Nyquist bin and 2 Re of the rest
-    spectrum[:, : min(placed.shape[1], points // 2) + 1] *= (0.5 * scales)[:, None]
-    spectrum[:, 0] *= 2.0
-    if points % 2 == 0:
-        spectrum[:, points // 2] *= 2.0
+    # irfft (norm="forward") sums bin 0, the Nyquist bin and 2 Re of the rest;
+    # the bins above the last harmonic's, the Nyquist bin among them, hold 0.
+    # Each step runs in place on a view, with no copy back.
+    top = min(placed.shape[1], points // 2)
+    bin0, used = spectrum[:, 0], spectrum[:, : top + 1]
+    np.add(bin0, dc, out=bin0)
+    np.multiply(used, (0.5 * scales)[:, None], out=used)
+    np.multiply(bin0, 2.0, out=bin0)
+    if points % 2 == 0 and top == points // 2:
+        nyquist = spectrum[:, top]
+        np.multiply(nyquist, 2.0, out=nyquist)
     low, high = grid[:, :points], grid[:, points:]
     np.fft.irfft(spectrum, points, axis=1, norm="forward", out=low)
     c1 = amplitudes[:, 0] * scales
-    if not np.any(c1):
+    if not c1.any():
         high[...] = low
         return grid
     # Re(c_1 w^i) for i < n/2, then E_i -+ that on both half periods
@@ -491,12 +515,24 @@ def grid_extrema(
     one.  Each row is bitwise what it would be alone.
     """
     _check_grid(amplitudes, n)
+    return _grid_extrema(amplitudes, scales, dc, fc, n)
+
+
+def _grid_extrema(
+    amplitudes: np.ndarray, scales, dc: float, fc: float, n: int
+) -> tuple[list[float], list[float]]:
+    """:func:`grid_extrema` without the scan for nonzero odd harmonics k >= 3.
+
+    For amplitudes ``coefficients(kind, K) * transfers``, whose odd
+    harmonics are the coefficients' exact zeros times a finite transfer.
+    """
+    _check_samples(n)
     # this thread's scratch grid, which the next call overwrites
     values = _fill_grid(amplitudes, scales, dc, n, *_scratch(amplitudes.shape[0], n))
     vmaxs, vmins = values.max(axis=1).tolist(), values.min(axis=1).tolist()
     if (1.0 / fc) / n <= _POLISH_SPACING or n < 2 * amplitudes.shape[1]:
         return vmaxs, vmins
-    argmaxs, argmins = np.argmax(values, axis=1).tolist(), np.argmin(values, axis=1).tolist()
+    argmaxs, argmins = values.argmax(axis=1).tolist(), values.argmin(axis=1).tolist()
     for r, scale in enumerate(np.asarray(scales, dtype=float).tolist()):
         top = _newton_extremum(_local_polynomial(amplitudes[r], argmaxs[r], n), 1.0)
         bottom = _newton_extremum(_local_polynomial(amplitudes[r], argmins[r], n), -1.0)
@@ -527,6 +563,8 @@ def period_extrema(fs: FilteredSeries, n: int) -> tuple[float, float]:
 
 def dc_voltage(kind: RectifierKind, filt: RcFilter, amplitude: float, fc: float) -> float:
     """Time-averaged filter output ``delta * A * R * a0 / 2``."""
+    require_finite_positive("amplitude", amplitude)
+    require_finite_positive("fc", fc)
     delta = amplification_factor(filt, fc)
     return delta * amplitude * filt.resistance * fourier_coefficient(kind, 0) / 2.0
 

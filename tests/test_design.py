@@ -22,6 +22,7 @@ from rectenna import (
     make_grid,
     max_ripple,
     optimize_capacitance,
+    period_extrema,
     rectified_reference,
     sampled_ripple,
     sweep_cutoff,
@@ -158,6 +159,41 @@ def test_blocked_sweep_is_bitwise_the_per_point_metrics(
     cutoffs = make_grid(lo, hi, n_points, spacing).tolist()
     expected = per_point_rows(kind, resistance, amplitude, fc, cutoffs, truncation, samples)
     assert sweep_array(rows).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from([FULL, HALF]),
+    filtered=st.booleans(),
+    log_fc=st.floats(0.0, 11.0),
+    log_cutoff_ratio=st.floats(-3.0, 3.0),
+    resistance=st.floats(0.5, 8.0),
+    amplitude=st.floats(0.1, 3.0),
+    truncation=st.integers(1, 700),
+    samples=st.integers(1, 4096).map(lambda m: 2 * m),
+)
+# polished at n < 4K; folded at n < 2K, so unpolished; the 915 MHz default
+@example(kind=HALF, filtered=True, log_fc=math.log10(13.56e6), log_cutoff_ratio=1.0,
+         resistance=2.0, amplitude=1.0, truncation=700, samples=2000)
+@example(kind=FULL, filtered=False, log_fc=3.0, log_cutoff_ratio=0.0,
+         resistance=2.0, amplitude=1.0, truncation=700, samples=1000)
+@example(kind=FULL, filtered=True, log_fc=math.log10(FC), log_cutoff_ratio=0.5,
+         resistance=2.0, amplitude=1.0, truncation=256, samples=4096)
+def test_sampled_ripple_is_bitwise_the_period_extrema_spread(
+    kind, filtered, log_fc, log_cutoff_ratio, resistance, amplitude, truncation, samples,
+):
+    # the metric builds no series; it must still be the series' grid spread,
+    # on both sides of the 1e-12 s polish gate and of the n < 2K fold
+    fc = 10.0**log_fc
+    if filtered:
+        filt = RcFilter.from_cutoff(resistance, fc * 10.0**log_cutoff_ratio)
+    else:
+        filt = RcFilter(resistance, 0.0)
+    ripple = sampled_ripple(kind, filt, amplitude, fc, truncation, samples)
+    scale = amplification_factor(filt, fc) * amplitude
+    fs = filtered_series(build_series(kind, truncation, scale=scale, fc=fc), filt)
+    vmax, vmin = period_extrema(fs, samples)
+    assert np.float64(ripple).tobytes() == np.float64(vmax - vmin).tobytes()
 
 
 def test_concurrent_sweeps_match_the_single_thread_rows():
@@ -342,7 +378,7 @@ def test_optimize_golden_budget_takes_few_evaluations(monkeypatch):
     calls = count_sampled_ripple_calls(monkeypatch)
     res = optimize_capacitance(FULL, RL, 1.0, FC, 0.1)
     assert res.feasible and abs(res.ripple - 0.1) <= 1e-6 * 0.1
-    assert len(calls) <= 20
+    assert 1 <= len(calls) <= 20
 
 
 @pytest.mark.parametrize("knee", [1e-12, 1e-10, 1e-8])
@@ -469,11 +505,18 @@ def test_trace_rejects_empty_grid():
         ),
         lambda **source: optimize_capacitance(FULL, RL, ripple_budget=0.1, **source),
         lambda **source: time_trace(FULL, RcFilter(RL, 1e-10), t_grid=[0.0, 1e-9], **source),
+        lambda **source: sampled_ripple(FULL, RcFilter(RL, 1e-10), **source),
+        lambda **source: analytic_ripple(FULL, RcFilter(RL, 1e-10), **source),
+        lambda **source: dc_voltage(FULL, RcFilter(RL, 1e-10), **source),
     ],
-    ids=["sweep_cutoff", "optimize_capacitance", "time_trace"],
+    ids=[
+        "sweep_cutoff", "optimize_capacitance", "time_trace",
+        "sampled_ripple", "analytic_ripple", "dc_voltage",
+    ],
 )
 def test_entry_points_reject_bad_amplitude_or_carrier(entry, name, value):
-    # the CLI checks these too, but a library caller must get an error, not nan rows
+    # the CLI checks these too, but a library caller must get an error, not
+    # nan rows; the sampled metric scans no amplitudes, so it checks its own
     source = {"amplitude": 1.0, "fc": FC, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         entry(**source)
