@@ -14,11 +14,11 @@ import numpy as np
 
 from .rcfilter import (
     RcFilter,
+    _amplification,
     _grid_extrema,
     _omega_tau,
     _transfers,
     aligned_peaks,
-    amplification_factor,
     dc_voltage,
     eval_filtered,
     filter_response,
@@ -29,6 +29,7 @@ from .rcfilter import (
 from .rectifier import (
     DEFAULT_TRUNCATION,
     RectifierKind,
+    _phases,
     build_series,
     coefficients,
     fourier_coefficient,
@@ -61,7 +62,8 @@ _SWEEP_BLOCK = 8
 # starts to fall near a tenth of a carrier period, so the search starts one
 # period up (never above a tenth of _TAU_HI) and steps down by decades until
 # its ripple exceeds the budget; the upper end starts at _TAU_HI seconds and
-# grows if ever needed, up to _TAU_HI_MAX
+# grows if ever needed, up to _TAU_HI_MAX.  It stays in seconds: steps on
+# log(fc * tau) would round differently and move printed design digits
 _TAU_START_PERIODS = 1.0
 _TAU_HI = 1e-3
 _TAU_HI_MAX = 1e3
@@ -111,8 +113,9 @@ def sampled_ripple(
     """
     require_finite_positive("amplitude", amplitude)
     require_finite_positive("fc", fc)
-    scale = amplification_factor(filt, fc) * amplitude
-    transfers = _transfers(filt.resistance, _omega_tau(fc, [filt.tau], truncation))
+    x = fc * filt.tau
+    scale = _amplification(filt.resistance, x) * amplitude
+    transfers = _transfers(filt.resistance, _omega_tau([x], truncation))
     (ripple,) = _sampled_ripples(kind, filt.resistance, transfers, (scale,), fc, samples)
     return ripple
 
@@ -134,8 +137,6 @@ def analytic_ripple(
     truncation: int = DEFAULT_TRUNCATION,
 ) -> float:
     """Aligned-phase peak approximation minus the DC level."""
-    require_finite_positive("amplitude", amplitude)
-    require_finite_positive("fc", fc)
     return ripple_peak(kind, filt, amplitude, fc, truncation) - dc_voltage(
         kind, filt, amplitude, fc
     )
@@ -195,10 +196,9 @@ def sweep_cutoff(
 
 def _sweep_block(kind, cutoffs, filters, amplitude, fc, truncation, samples) -> list[SweepRow]:
     resistance = filters[0].resistance
-    scales = [amplification_factor(filt, fc) * amplitude for filt in filters]
-    atten, transfers = filter_response(
-        resistance, fc, [filt.tau for filt in filters], truncation
-    )
+    xs = [fc * filt.tau for filt in filters]
+    scales = [_amplification(resistance, x) * amplitude for x in xs]
+    atten, transfers = filter_response(resistance, xs, truncation)
     peaks = aligned_peaks(kind, scales, resistance, atten).tolist()
     ripples = _sampled_ripples(kind, resistance, transfers, scales, fc, samples)
     a0 = fourier_coefficient(kind, 0)
@@ -240,8 +240,8 @@ def optimize_capacitance(
     relative bracket width of 1e-9 and returns the feasible end with the
     ripple evaluated there, so the result is self-consistent with the
     metric.  A budget at or above the unfiltered ripple returns C = 0 (the
-    unconstrained optimum); one the search range cannot reach raises
-    ``ValueError``.
+    unconstrained optimum); one the search range cannot reach, or that lies
+    between two neighbouring subnormal taus, raises ``ValueError``.
     """
     require_finite_positive("amplitude", amplitude)
     require_finite_positive("fc", fc)
@@ -314,6 +314,9 @@ def optimize_capacitance(
         x = min(max(x, x_lo + margin, mid - reach), x_hi - margin, mid + reach)
         steps_left -= 1
         tau = math.exp(x)
+        if not lo < tau < hi:
+            # subnormal ends this close have no float between them to step to
+            raise ValueError("ripple budget not resolvable: tau is below float resolution")
         ripple = metric(tau / resistance)
         if ripple <= ripple_budget:
             hi, x_hi, f_hi, ripple_hi = tau, x, excess(ripple), ripple
@@ -346,9 +349,8 @@ def time_trace(
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D array of times")
-    if not np.isfinite(ts).all():
-        raise ValueError("t_grid must hold finite times")
-    base = build_series(kind, truncation, scale=amplification_factor(filt, fc) * amplitude, fc=fc)
+    scale = _amplification(filt.resistance, fc * filt.tau) * amplitude
+    base = build_series(kind, truncation, scale=scale, fc=fc)
     return np.column_stack((ts, eval_filtered(filtered_series(base, filt), ts)))
 
 
@@ -360,6 +362,9 @@ def rectified_reference(
     t_grid,
 ) -> np.ndarray:
     """Pointwise ``R * g(sqrt(R) A cos(2 pi fc t))``: the tau = 0 output."""
-    ts = np.asarray(t_grid, dtype=float)
-    vin = math.sqrt(resistance) * amplitude * np.cos(2.0 * math.pi * fc * ts)
+    require_finite_positive("resistance", resistance)
+    require_finite_positive("amplitude", amplitude)
+    require_finite_positive("fc", fc)
+    cosines = np.cos(2.0 * math.pi * _phases(fc, t_grid)).reshape(np.shape(t_grid))
+    vin = math.sqrt(resistance) * amplitude * cosines
     return resistance * rectify(kind, vin)

@@ -2,9 +2,14 @@
 
 The filter is the one-pole transfer function ``H(f) = R / (1 + j 2 pi f tau)``
 with ``tau = R C``.  The matched front end scales the rectifier input by the
-amplification factor ``sqrt(R / (1 + (2 pi fc tau)^2))``, so both the DC level
-and every harmonic amplitude depend on the same time constant: small tau means
-more DC and more ripple, large tau kills both.
+amplification factor ``sqrt(R / (1 + (2 pi fc tau)^2))``.  Both, like every
+output, see the carrier only through ``x = fc tau`` (and time only through
+the phase ``fc t``): small x means more DC and more ripple, large x kills
+both.  Public functions check their inputs and form x once; the private
+helpers take x, never fc, so x = 0 is exactly unfiltered at any carrier.
+Three rules still read fc or seconds on their own: the 1e-12 s polish
+spacing of :func:`grid_extrema`, :func:`taylor_table`'s refusal where
+``2 pi K fc`` overflows, and the capacitance solve's bracket in seconds.
 
 The design layer samples the output on a uniform grid over one carrier period
 many times.  :func:`period_grid` does that for a block of time constants at
@@ -67,7 +72,8 @@ __all__ = [
     "require_finite_positive",
 ]
 
-# grids coarser than this (seconds per sample) get Newton-polished extrema
+# grids coarser than this (seconds per sample) get Newton-polished extrema;
+# in seconds, not fc * n, since which grids are polished moves printed digits
 _POLISH_SPACING = 1e-12
 # Taylor tail a local polynomial or table drops, relative to sum_k |c_k|
 _TAYLOR_TAIL = 1e-17
@@ -127,38 +133,27 @@ def amplification_factor(filt: RcFilter, fc: float) -> float:
 
     Tends to ``sqrt(R)`` as tau -> 0 and to 0 as tau -> inf.
     """
-    # tau = 0 gets its exact value: 2 pi fc may overflow, and inf * 0 is nan
-    w = 2.0 * math.pi * fc * filt.tau if filt.tau else 0.0
-    return math.sqrt(filt.resistance / (1.0 + w * w))
+    require_finite_positive("fc", fc)
+    return _amplification(filt.resistance, fc * filt.tau)
 
 
-def _omega_tau(fc: float, taus: list[float], truncation: int) -> np.ndarray:
-    """``2 pi k fc tau`` for k = 1..K, one row per tau.
+def _amplification(resistance: float, x: float) -> float:
+    """:func:`amplification_factor` at ``x = fc tau``, unchecked."""
+    w = 2.0 * math.pi * x
+    return math.sqrt(resistance / (1.0 + w * w))
 
-    Rows with tau = 0 are exact zeros: ``2 pi k fc`` may overflow, and
-    ``inf * 0`` is nan.
-    """
-    if 0.0 in taus:
-        wt = np.zeros((len(taus), truncation))
-        nonzero = [r for r, tau in enumerate(taus) if tau]
-        if nonzero:
-            wt[nonzero] = _omega_tau(fc, [taus[r] for r in nonzero], truncation)
-        return wt
-    return np.array(taus)[:, None] * _harmonic_omegas(fc, truncation)
+
+def _omega_tau(xs, truncation: int) -> np.ndarray:
+    """``2 pi k x`` for k = 1..K, one row per ``x = fc tau``; x = 0 gives zeros."""
+    return np.array(xs, dtype=float)[:, None] * _harmonic_omegas(truncation)
 
 
 @lru_cache(maxsize=8)
-def _harmonic_omegas(fc: float, truncation: int) -> np.ndarray:
-    """``2 pi k fc`` for k = 1..K, read-only: one carrier's row for every tau."""
-    ks = np.arange(1, truncation + 1, dtype=float)
-    omegas = 2.0 * np.pi * ks * fc
+def _harmonic_omegas(truncation: int) -> np.ndarray:
+    """``2 pi k`` for k = 1..K, read-only: one row for every carrier and tau."""
+    omegas = 2.0 * np.pi * np.arange(1, truncation + 1, dtype=float)
     omegas.setflags(write=False)
     return omegas
-
-
-def _attenuation(wt: np.ndarray) -> np.ndarray:
-    """``sqrt(1 + wt^2)``, ``R / |H|``, for an :func:`_omega_tau` matrix."""
-    return np.sqrt(1.0 + wt * wt)
 
 
 def _transfers(resistance: float, wt: np.ndarray) -> np.ndarray:
@@ -175,17 +170,15 @@ def _transfers(resistance: float, wt: np.ndarray) -> np.ndarray:
     return transfers
 
 
-def filter_response(
-    resistance: float, fc: float, taus: list[float], truncation: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The filter at harmonics k = 1..K of ``fc``, one row per time constant.
+def filter_response(resistance: float, xs, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """The filter at harmonics k = 1..K, one row per ``x = fc tau``.
 
     Returns two read-only ``(m, K)`` matrices: the attenuation
-    ``sqrt(1 + (2 pi k fc tau)^2)``, which only :func:`aligned_peaks` needs,
-    and the complex transfer ``H(k fc) = R / (1 + j 2 pi k fc tau)``.
+    ``sqrt(1 + (2 pi k x)^2)``, which only :func:`aligned_peaks` needs, and
+    the complex transfer ``H(k fc) = R / (1 + j 2 pi k x)``.
     """
-    wt = _omega_tau(fc, taus, truncation)
-    atten = _attenuation(wt)
+    wt = _omega_tau(xs, truncation)
+    atten = np.sqrt(1.0 + wt * wt)
     atten.setflags(write=False)
     return atten, _transfers(resistance, wt)
 
@@ -216,9 +209,8 @@ class FilteredSeries:
 
 def filtered_series(series: FourierSeries, filt: RcFilter) -> FilteredSeries:
     """Attach ``H(k fc)`` for k = 1..K."""
-    if series.fundamental_fc <= 0:
-        raise ValueError("series fundamental frequency must be > 0")
-    wt = _omega_tau(series.fundamental_fc, [filt.tau], series.truncation)
+    require_finite_positive("fc", series.fundamental_fc)
+    wt = _omega_tau([series.fundamental_fc * filt.tau], series.truncation)
     return FilteredSeries(base=series, filt=filt, transfers=_transfers(filt.resistance, wt)[0])
 
 
@@ -232,7 +224,8 @@ def eval_filtered(fs: FilteredSeries, t):
     (:func:`rectenna.rectifier.table_sum`): a lookup at the nearest of n
     grid phases and D + 1 multiply-adds per time, whatever K.  A scalar t
     returns a float, bitwise equal to the array path's element.  Raises
-    ``ValueError`` where ``2 pi K fc`` is not a finite float.
+    ``ValueError`` where ``2 pi K fc`` is not a finite float, or a phase
+    ``fc t`` is not.
     """
     base = fs.base
     dc = 0.5 * base.a0 * fs.filt.resistance
@@ -369,6 +362,8 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
     little more than its own size while built.
     """
     truncation = amplitudes.shape[0]
+    # the table reads no fc, but near the float maximum a trace's times
+    # (2 / fc / 1024 apart) are subnormal and their phases fc t meaningless
     if not math.isfinite(2.0 * math.pi * truncation * fc):
         raise ValueError("result is not finite; an input is out of range")
     n = 1 << (4 * truncation - 1).bit_length()
@@ -565,7 +560,7 @@ def dc_voltage(kind: RectifierKind, filt: RcFilter, amplitude: float, fc: float)
     """Time-averaged filter output ``delta * A * R * a0 / 2``."""
     require_finite_positive("amplitude", amplitude)
     require_finite_positive("fc", fc)
-    delta = amplification_factor(filt, fc)
+    delta = _amplification(filt.resistance, fc * filt.tau)
     return delta * amplitude * filt.resistance * fourier_coefficient(kind, 0) / 2.0
 
 
@@ -585,8 +580,12 @@ def ripple_peak(
     MHz, R = 2 ohm, K = 256 it read below the sampled peak at every cut-off
     checked (minus DC, 0.00655 V against 0.00701 V at a 1e8 Hz cut-off).
     """
-    atten = _attenuation(_omega_tau(fc, [filt.tau], truncation))
-    scale = amplification_factor(filt, fc) * amplitude
+    require_finite_positive("amplitude", amplitude, allow_zero=True)
+    require_finite_positive("fc", fc)
+    x = fc * filt.tau
+    wt = _omega_tau([x], truncation)
+    atten = np.sqrt(1.0 + wt * wt)
+    scale = _amplification(filt.resistance, x) * amplitude
     return float(aligned_peaks(kind, (scale,), filt.resistance, atten)[0])
 
 
@@ -620,5 +619,7 @@ def dc_limits(kind: RectifierKind, resistance: float, amplitude: float) -> tuple
 
     The low end is the tau -> inf limit, the high end is attained at tau = 0.
     """
+    require_finite_positive("resistance", resistance)
+    require_finite_positive("amplitude", amplitude, allow_zero=True)
     high = math.sqrt(resistance) * amplitude * resistance * fourier_coefficient(kind, 0) / 2.0
     return 0.0, high

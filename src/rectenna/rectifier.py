@@ -136,6 +136,8 @@ def build_series(
     fc: float = 1.0,
 ) -> FourierSeries:
     """Build the series truncated at harmonic ``truncation`` (K >= 1)."""
+    require_finite_positive("scale", scale, allow_zero=True)
+    require_finite_positive("fc", fc)
     return FourierSeries(
         kind=kind,
         a0=fourier_coefficient(kind, 0),
@@ -171,10 +173,11 @@ def table_sum(table: np.ndarray, fc: float, t):
     runs as a one-element array through the same ufuncs, so it returns a
     float bitwise equal to the array path's element, wherever t sits in the
     array.  The phase ``fc t`` is reduced mod 1 before any scaling, so
-    rounding in the product is the only phase error.
+    rounding in the product is the only phase error.  Raises ``ValueError``
+    unless every phase ``fc t`` is finite.
     """
     n = table.shape[1]
-    x = np.multiply(fc, np.ravel(t), dtype=float)
+    x = _phases(fc, t)
     np.remainder(x, 1.0, out=x)
     x *= n
     nearest = np.rint(x)
@@ -188,6 +191,14 @@ def table_sum(table: np.ndarray, fc: float, t):
     if np.ndim(t) == 0:
         return float(value[0])
     return value.reshape(np.shape(t))
+
+
+def _phases(fc: float, t) -> np.ndarray:
+    """``fc t`` for each time in t, as a new flat array; ``ValueError`` unless all are finite."""
+    phases = np.multiply(fc, np.ravel(t), dtype=float)
+    if not np.isfinite(phases).all():
+        raise ValueError("t must hold finite times, with fc * t finite")
+    return phases
 
 
 def eval_series(series: FourierSeries, t):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -24,6 +25,7 @@ from rectenna import (
     optimize_capacitance,
     period_extrema,
     rectified_reference,
+    ripple_peak,
     sampled_ripple,
     sweep_cutoff,
     time_trace,
@@ -440,6 +442,21 @@ def test_optimize_refuses_a_budget_met_at_every_positive_tau(monkeypatch):
         optimize_capacitance(FULL, RL, 1.0, FC, 1.5)
 
 
+def test_optimize_refuses_a_bracket_with_no_float_inside(monkeypatch):
+    # at fc = 1.7e308 this budget, just under the unfiltered ripple, puts the
+    # root among subnormal taus a few ulps apart: a step rounds onto a bracket
+    # end, so the bracket cannot shrink and the solve must stop, not loop
+
+    def capped(kind, filt, *args):
+        if len(calls) > 200:
+            raise RuntimeError("the solve did not stop")
+        return sampled_ripple(kind, filt, *args)
+
+    calls = count_sampled_ripple_calls(monkeypatch, capped)
+    with pytest.raises(ValueError, match="not resolvable"):
+        optimize_capacitance(FULL, RL, 1.0, 1.7e308, 2.8213935)
+
+
 @pytest.mark.parametrize("kind", [FULL, HALF])
 def test_optimize_scales_with_the_carrier(kind):
     # the ripple depends on fc * tau alone, so fc * tau and v_dc must not
@@ -453,6 +470,35 @@ def test_optimize_scales_with_the_carrier(kind):
         assert res.feasible
         assert fc * res.tau == pytest.approx(915e6 * base.tau, rel=1e-8)
         assert res.v_dc == pytest.approx(base.v_dc, rel=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from([FULL, HALF]),
+    log_fc=st.floats(0.0, 307.0),
+    log_scaled_fc=st.floats(0.0, 307.0),
+    log_x=st.floats(-3.0, 1.0),
+)
+# a half-wave cut-off at the carrier, at 1e307, where 2 pi k fc overflows for k >= 3
+@example(kind=HALF, log_fc=9.0, log_scaled_fc=307.0, log_x=-math.log10(2.0 * math.pi))
+def test_outputs_depend_on_the_carrier_only_through_fc_tau(kind, log_fc, log_scaled_fc, log_x):
+    # (fc, tau) and (s fc, tau / s) share x = fc tau up to rounding, so every
+    # output must agree; x up to 10 keeps the analytic ripple's cancellation
+    # against DC far below the tolerance
+    fc = 10.0**log_fc
+    s = 10.0**log_scaled_fc / fc
+    capacitance = 10.0**log_x / fc / RL
+    # neither grid is Newton-polished, which would change the sampled metric
+    unpolished = min(fc, s * fc) * rectenna.design.DEFAULT_SAMPLES >= 1e12
+
+    def outputs(filt, carrier):
+        metrics = (dc_voltage, analytic_ripple, ripple_peak)
+        metrics += (sampled_ripple,) * unpolished
+        values = [amplification_factor(filt, carrier)]
+        return values + [metric(kind, filt, 1.0, carrier) for metric in metrics]
+
+    one = outputs(RcFilter(RL, capacitance), fc)
+    assert one == pytest.approx(outputs(RcFilter(RL, capacitance / s), s * fc), rel=1e-12)
 
 
 def grid_one_period(n=4096):
@@ -495,31 +541,69 @@ def test_trace_rejects_empty_grid():
         time_trace(FULL, RcFilter.from_cutoff(RL, 1e9), 1.0, FC, [])
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-@pytest.mark.parametrize("name", ["amplitude", "fc"])
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda **source: sweep_cutoff(
-            FULL, RL, cutoff_min=1e8, cutoff_max=1e9, n_points=4, **source
-        ),
-        lambda **source: optimize_capacitance(FULL, RL, ripple_budget=0.1, **source),
-        lambda **source: time_trace(FULL, RcFilter(RL, 1e-10), t_grid=[0.0, 1e-9], **source),
-        lambda **source: sampled_ripple(FULL, RcFilter(RL, 1e-10), **source),
-        lambda **source: analytic_ripple(FULL, RcFilter(RL, 1e-10), **source),
-        lambda **source: dc_voltage(FULL, RcFilter(RL, 1e-10), **source),
-    ],
-    ids=[
-        "sweep_cutoff", "optimize_capacitance", "time_trace",
-        "sampled_ripple", "analytic_ripple", "dc_voltage",
-    ],
-)
+SOURCE = {"amplitude": 1.0, "fc": FC}
+SERIES = build_series(FULL, 8, fc=FC)
+FILTER = RcFilter(RL, 1e-10)
+TIME_INPUTS = ("t", "t_grid")
+# each public entry point that checks its inputs: a call taking them by
+# keyword, a good value of each, and those whose 0 another test pins as valid
+ENTRY_POINTS = {
+    "sweep_cutoff": (
+        lambda **kw: sweep_cutoff(FULL, RL, cutoff_min=1e8, cutoff_max=1e9, n_points=4, **kw),
+        SOURCE, (),
+    ),
+    "optimize_capacitance": (
+        lambda **kw: optimize_capacitance(FULL, RL, ripple_budget=0.1, **kw), SOURCE, ()
+    ),
+    "time_trace": (lambda **kw: time_trace(FULL, FILTER, t_grid=[0.0, 1e-9], **kw), SOURCE, ()),
+    "sampled_ripple": (lambda **kw: sampled_ripple(FULL, FILTER, **kw), SOURCE, ()),
+    "analytic_ripple": (lambda **kw: analytic_ripple(FULL, FILTER, **kw), SOURCE, ()),
+    "dc_voltage": (lambda **kw: dc_voltage(FULL, FILTER, **kw), SOURCE, ()),
+    "amplification_factor": (lambda fc: amplification_factor(FILTER, fc), {"fc": FC}, ()),
+    "ripple_peak": (lambda **kw: ripple_peak(FULL, FILTER, **kw), SOURCE, ("amplitude",)),
+    "dc_limits": (
+        lambda **kw: dc_limits(FULL, **kw), {"resistance": RL, "amplitude": 1.0}, ("amplitude",)
+    ),
+    "rectified_reference": (
+        lambda **kw: rectified_reference(FULL, **kw),
+        {"resistance": RL, **SOURCE, "t_grid": 1e-9}, (),
+    ),
+    "filtered_series": (
+        lambda fc: filtered_series(dataclasses.replace(SERIES, fundamental_fc=fc), FILTER),
+        {"fc": FC}, (),
+    ),
+    "build_series": (
+        lambda **kw: build_series(FULL, 8, **kw), {"scale": 1.0, "fc": FC}, ("scale",)
+    ),
+    "eval_filtered": (
+        lambda t: eval_filtered(filtered_series(SERIES, FILTER), t), {"t": 1e-9}, ()
+    ),
+    "eval_series": (lambda t: eval_series(SERIES, t), {"t": 1e-9}, ()),
+}
+
+
+def bad_inputs():
+    for entry, (_, inputs, _) in ENTRY_POINTS.items():
+        for name in inputs:
+            values = [math.nan, math.inf, -math.inf]
+            if name not in TIME_INPUTS:  # 0 and -1 are times like any other
+                values += [0.0, -1.0]
+            for value in values:
+                yield pytest.param(entry, name, value, id=f"{entry}-{name}-{value}")
+
+
+@pytest.mark.parametrize("entry,name,value", list(bad_inputs()))
 def test_entry_points_reject_bad_amplitude_or_carrier(entry, name, value):
-    # the CLI checks these too, but a library caller must get an error, not
-    # nan rows; the sampled metric scans no amplitudes, so it checks its own
-    source = {"amplitude": 1.0, "fc": FC, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        entry(**source)
+    # a library caller must get an error, not nan output; the checks run at
+    # each public entry point, and the private helpers behind them run none
+    call, inputs, zero_pinned = ENTRY_POINTS[entry]
+    times = name in TIME_INPUTS
+    source = {**inputs, name: [0.0, value] if times else value}
+    if value == 0.0 and name in zero_pinned:
+        call(**source)
+        return
+    with pytest.raises(ValueError, match="finite times" if times else f"^{name} must be finite"):
+        call(**source)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import sys
 
@@ -88,7 +89,7 @@ def transfer_at(filt, f, truncation=1):
 
 
 def test_transfer_dc_gain():
-    # the least subnormal carrier: 2 pi f tau rounds to 0, so f is 0 to the filter
+    # the least subnormal carrier: x = f tau rounds to 0, so every harmonic gets H = R
     h = transfer_at(RcFilter(2.0, 4.7e-11), 5e-324, truncation=4)
     assert np.all(np.abs(h) == 2.0)
     assert np.all(np.angle(h) == 0.0)
@@ -141,8 +142,11 @@ def test_filtered_series_gains_strictly_decreasing():
 
 
 def test_filtered_series_requires_positive_fundamental():
-    base = build_series(FULL, 4, scale=1.0, fc=0.0)
-    with pytest.raises(ValueError):
+    # build_series refuses fc = 0 itself, so the bad series is built around it
+    with pytest.raises(ValueError, match="^fc must be finite"):
+        build_series(FULL, 4, scale=1.0, fc=0.0)
+    base = dataclasses.replace(build_series(FULL, 4, scale=1.0), fundamental_fc=0.0)
+    with pytest.raises(ValueError, match="^fc must be finite"):
         filtered_series(base, RcFilter(2.0, 0.0))
 
 
@@ -213,7 +217,8 @@ def test_ripple_peak_zero_tau_equals_max_ripple_bitwise():
 
 @pytest.mark.parametrize("kind", [FULL, HALF])
 def test_zero_tau_survives_carrier_overflow(kind):
-    # 2 pi fc overflows to inf; tau = 0 must give its exact values, not inf * 0 = nan
+    # 2 pi fc overflows to inf, but the filter sees only x = fc tau, which is
+    # 0 at tau = 0 for any carrier: the unfiltered values, exactly
     filt = RcFilter(2.0, 0.0)
     assert ripple_peak(kind, filt, 1.3, 1.7e308) == max_ripple(kind, 1.3, 2.0)
     assert amplification_factor(filt, 1.7e308) == math.sqrt(2.0)
