@@ -15,13 +15,15 @@ import numpy as np
 from .rcfilter import (
     RcFilter,
     _amplification,
+    _attenuation,
     _grid_extrema,
+    _live_coefficients,
+    _live_omegas,
     _omega_tau,
     _transfers,
     aligned_peaks,
     dc_voltage,
     eval_filtered,
-    filter_response,
     filtered_series,
     require_finite_positive,
     ripple_peak,
@@ -31,7 +33,6 @@ from .rectifier import (
     RectifierKind,
     _phases,
     build_series,
-    coefficients,
     fourier_coefficient,
     rectify,
 )
@@ -54,8 +55,8 @@ RIPPLE_METRICS = ("sampled_ptp", "analytic")
 DEFAULT_SAMPLES = 4096
 
 # cut-offs per filter matrix and inverse FFT in sweep_cutoff: a block shares
-# the fixed numpy cost per call, and each row takes ~0.1 MB at 4096 samples,
-# 64 KB of it in the period grid's reused scratch arrays
+# the fixed numpy cost per call, and each row takes ~50 KB of the period
+# grid's reused scratch arrays at 4096 samples
 _SWEEP_BLOCK = 8
 
 # capacitance solve on log tau.  The ripple depends on fc * tau alone and
@@ -115,17 +116,18 @@ def sampled_ripple(
     require_finite_positive("fc", fc)
     x = fc * filt.tau
     scale = _amplification(filt.resistance, x) * amplitude
-    transfers = _transfers(filt.resistance, _omega_tau([x], truncation))
-    (ripple,) = _sampled_ripples(kind, filt.resistance, transfers, (scale,), fc, samples)
+    (ripple,) = _sampled_ripples(kind, filt.resistance, [x], (scale,), fc, truncation, samples)
     return ripple
 
 
-def _sampled_ripples(kind, resistance, transfers, scales, fc, samples) -> list[float]:
-    # each transfer row's output, scaled by its entry of scales, as a period
-    # grid: the rectifier's odd harmonics k >= 3 are exact zeros, unscanned
-    amps = coefficients(kind, transfers.shape[1]) * transfers
+def _sampled_ripples(kind, resistance, xs, scales, fc, truncation, samples) -> list[float]:
+    # the output at each x = fc tau, scaled by its entry of scales, as a
+    # period grid of the live harmonics only (k = 1 and the even k): the
+    # rectifier's odd harmonics k >= 3 are exact zeros
+    transfers = _transfers(resistance, _omega_tau(xs, _live_omegas(truncation)))
+    amps = _live_coefficients(kind, truncation) * transfers
     dc = 0.5 * fourier_coefficient(kind, 0) * resistance
-    vmaxs, vmins = _grid_extrema(amps, scales, dc, fc, samples)
+    vmaxs, vmins = _grid_extrema(amps, scales, dc, fc, samples, truncation)
     return [vmax - vmin for vmax, vmin in zip(vmaxs, vmins)]
 
 
@@ -198,9 +200,8 @@ def _sweep_block(kind, cutoffs, filters, amplitude, fc, truncation, samples) -> 
     resistance = filters[0].resistance
     xs = [fc * filt.tau for filt in filters]
     scales = [_amplification(resistance, x) * amplitude for x in xs]
-    atten, transfers = filter_response(resistance, xs, truncation)
-    peaks = aligned_peaks(kind, scales, resistance, atten).tolist()
-    ripples = _sampled_ripples(kind, resistance, transfers, scales, fc, samples)
+    peaks = aligned_peaks(kind, scales, resistance, _attenuation(xs, truncation)).tolist()
+    ripples = _sampled_ripples(kind, resistance, xs, scales, fc, truncation, samples)
     a0 = fourier_coefficient(kind, 0)
     rows = []
     for cutoff, filt, scale, peak, ripple in zip(cutoffs, filters, scales, peaks, ripples):

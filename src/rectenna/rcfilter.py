@@ -13,29 +13,34 @@ spacing of :func:`grid_extrema`, :func:`taylor_table`'s refusal where
 
 The design layer samples the output on a uniform grid over one carrier period
 many times.  :func:`period_grid` does that for a block of time constants at
-once, from one ``(m, K)`` filter matrix (:func:`filter_response`).  The
-rectified carrier has only c_1 and even harmonics, so n must be even: the
-even ones fold into an ``(m, n/4 + 1)`` one-sided spectrum and one real
-inverse FFT of length n/2 along its rows gives them on half the grid; the
-c_1 cosine is then added on one half period and subtracted on the other.
-The spectrum, the c_1 term and the grid live in per-thread scratch arrays
-that later calls reuse.  :func:`period_samples` and :func:`period_extrema`
-are the one-row case.  The public grid functions refuse amplitudes with a
-nonzero odd harmonic k >= 3; the design layer's sweep blocks and its
-one-row ripple metric skip that scan, since their amplitudes are the
-rectifier coefficients times the transfers, and build no series object.
-Where that grid is coarser than 1e-12 s,
-:func:`grid_extrema` Newton-polishes both its extrema on the exact trig
-polynomial; finer grids keep their grid extrema.  :func:`eval_filtered` serves arbitrary times from
-a Taylor table (:func:`taylor_table`): one period grid whose D + 1 rows are
-the series' first D + 1 Taylor coefficients at every grid phase, built once
-per series.  A time is then a table lookup at the nearest grid phase and a
-degree-D polynomial in the offset from it.
+once.  The rectified carrier has only c_1 and even harmonics, so n must be
+even, and the grid reads only the 1 + K/2 live columns (k = 1 and the even
+k; :func:`_live`): the even ones fold into an ``(m, n/4 + 1)`` one-sided
+spectrum, one real inverse FFT of length n/2 along its rows gives them on
+half the grid, and the c_1 cosine is then added on one half period and
+subtracted on the other (a row at a time where rows are long).  The design
+layer's sweep blocks and its one-row ripple metric form their transfers at
+the live k only, from a live ``2 pi k`` row and a live coefficient row
+cached per K and per (kind, K); they skip the public functions' argument
+checks and build no series object.  :func:`period_samples` and
+:func:`period_extrema` are the one-row case.  Where that grid is coarser
+than 1e-12 s, :func:`grid_extrema` Newton-polishes both its extrema on the
+exact trig polynomial, with one stacked product for the Taylor
+coefficients of every row's argmax and argmin; finer grids keep their grid
+extrema.  Its grid halves live in a per-thread scratch array that later
+calls reuse, and the extrema are read from the halves, with no full-period
+copy.
+:func:`eval_filtered` serves arbitrary times from a Taylor table
+(:func:`taylor_table`): one period grid whose D + 1 rows are the series'
+first D + 1 Taylor coefficients at every grid phase, built once per series.
+A time is then a table lookup at the nearest grid phase and a degree-D
+polynomial in the offset from it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -56,7 +61,6 @@ __all__ = [
     "RcFilter",
     "FilteredSeries",
     "amplification_factor",
-    "filter_response",
     "filtered_series",
     "eval_filtered",
     "taylor_table",
@@ -78,9 +82,13 @@ _POLISH_SPACING = 1e-12
 # Taylor tail a local polynomial or table drops, relative to sum_k |c_k|
 _TAYLOR_TAIL = 1e-17
 # grid samples per block of Taylor table rows built by one inverse FFT: a
-# block's work arrays hold ~100 KB whatever the table's size, so a K = 1024
-# table peaks at ~1.3x its own 590 KB while built, against ~2x with 1 << 15
+# block's work arrays hold ~50-70 KB whatever the table's size, so a K = 1024
+# table peaks at ~1.2x its own 590 KB while built, against ~1.7x with 1 << 15
 _TABLE_BLOCK_CELLS = 1 << 13
+# half-period samples from which a grid's c_1 term runs a row at a time: at
+# 2048 that is ~30% faster for 8 rows than one broadcast over the block, at
+# 128 about 3x slower for the 18 rows of a K = 64 Taylor table
+_ROW_AT_A_TIME = 1024
 # Newton on the local polynomial: step cap, and the step (in grid steps)
 # below which the next one would move the value by less than roundoff
 _NEWTON_STEPS = 8
@@ -143,17 +151,47 @@ def _amplification(resistance: float, x: float) -> float:
     return math.sqrt(resistance / (1.0 + w * w))
 
 
-def _omega_tau(xs, truncation: int) -> np.ndarray:
-    """``2 pi k x`` for k = 1..K, one row per ``x = fc tau``; x = 0 gives zeros."""
-    return np.array(xs, dtype=float)[:, None] * _harmonic_omegas(truncation)
+def _omega_tau(xs, omegas: np.ndarray) -> np.ndarray:
+    """``2 pi k x`` for the ``2 pi k`` row ``omegas``, one row per ``x = fc tau``;
+    x = 0 gives zeros."""
+    return np.array(xs, dtype=float)[:, None] * omegas
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only and returned."""
+    array.setflags(write=False)
+    return array
 
 
 @lru_cache(maxsize=8)
 def _harmonic_omegas(truncation: int) -> np.ndarray:
     """``2 pi k`` for k = 1..K, read-only: one row for every carrier and tau."""
-    omegas = 2.0 * np.pi * np.arange(1, truncation + 1, dtype=float)
-    omegas.setflags(write=False)
-    return omegas
+    return _frozen(2.0 * np.pi * np.arange(1, truncation + 1, dtype=float))
+
+
+def _live(values: np.ndarray) -> np.ndarray:
+    """The live columns of a last axis that runs over k = 1..K: k = 1, then
+    the even k.  The rectifier's odd harmonics k >= 3 are exact zeros, so
+    the period grid reads only these 1 + K // 2 columns."""
+    return np.concatenate((values[..., :1], values[..., 1::2]), axis=-1)
+
+
+@lru_cache(maxsize=8)
+def _live_harmonics(truncation: int) -> np.ndarray:
+    """The live k (1, 2, 4, ..., up to K) as integers, read-only."""
+    return _frozen(_live(np.arange(1, truncation + 1)))
+
+
+@lru_cache(maxsize=8)
+def _live_omegas(truncation: int) -> np.ndarray:
+    """:func:`_harmonic_omegas` at the live k, read-only."""
+    return _frozen(_live(_harmonic_omegas(truncation)))
+
+
+@lru_cache(maxsize=16)
+def _live_coefficients(kind: RectifierKind, truncation: int) -> np.ndarray:
+    """The rectifier coefficients ``a_k`` at the live k, read-only."""
+    return _frozen(_live(coefficients(kind, truncation)))
 
 
 def _transfers(resistance: float, wt: np.ndarray) -> np.ndarray:
@@ -165,22 +203,7 @@ def _transfers(resistance: float, wt: np.ndarray) -> np.ndarray:
     denominator = np.empty(wt.shape, dtype=complex)
     denominator.real = 1.0
     denominator.imag = wt
-    transfers = resistance / denominator
-    transfers.setflags(write=False)
-    return transfers
-
-
-def filter_response(resistance: float, xs, truncation: int) -> tuple[np.ndarray, np.ndarray]:
-    """The filter at harmonics k = 1..K, one row per ``x = fc tau``.
-
-    Returns two read-only ``(m, K)`` matrices: the attenuation
-    ``sqrt(1 + (2 pi k x)^2)``, which only :func:`aligned_peaks` needs, and
-    the complex transfer ``H(k fc) = R / (1 + j 2 pi k x)``.
-    """
-    wt = _omega_tau(xs, truncation)
-    atten = np.sqrt(1.0 + wt * wt)
-    atten.setflags(write=False)
-    return atten, _transfers(resistance, wt)
+    return _frozen(resistance / denominator)
 
 
 @dataclass(frozen=True)
@@ -197,9 +220,7 @@ class FilteredSeries:
     @cached_property
     def amplitudes(self) -> np.ndarray:
         """Complex amplitudes ``c_k = a_k H(k fc)``, read-only."""
-        amps = self.base.ak * self.transfers
-        amps.setflags(write=False)
-        return amps
+        return _frozen(self.base.ak * self.transfers)
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -210,7 +231,7 @@ class FilteredSeries:
 def filtered_series(series: FourierSeries, filt: RcFilter) -> FilteredSeries:
     """Attach ``H(k fc)`` for k = 1..K."""
     require_finite_positive("fc", series.fundamental_fc)
-    wt = _omega_tau([series.fundamental_fc * filt.tau], series.truncation)
+    wt = _omega_tau([series.fundamental_fc * filt.tau], _harmonic_omegas(series.truncation))
     return FilteredSeries(base=series, filt=filt, transfers=_transfers(filt.resistance, wt)[0])
 
 
@@ -233,12 +254,14 @@ def eval_filtered(fs: FilteredSeries, t):
 
 
 def _work_arrays(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """New spectrum and c_1-term arrays for a ``(rows, n)`` grid, n even."""
-    return np.empty((rows, n // 4 + 1), dtype=complex), np.empty((rows, n // 2))
+    """New spectrum and c_1-term arrays for a ``(rows, n)`` grid, n even:
+    the ``(rows, n/4 + 1)`` one-sided spectrum of the half grid, and one
+    half-period row that each grid row's c_1 term passes through."""
+    return np.empty((rows, n // 4 + 1), dtype=complex), np.empty(n // 2)
 
 
 def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's :func:`_work_arrays` and grid for a ``(rows, n)`` grid.
+    """This thread's :func:`_work_arrays` and ``(2, rows, n/2)`` grid halves.
 
     Kept for the last few shapes used, oldest dropped first.
     """
@@ -247,7 +270,8 @@ def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if key not in spaces:
         if len(spaces) >= _SCRATCH_SHAPES:
             del spaces[next(iter(spaces))]
-        spaces[key] = (*_work_arrays(rows, n), np.empty((rows, n)))
+        spectrum, fundamental = _work_arrays(rows, n)
+        spaces[key] = (spectrum, np.empty((2, rows, n // 2)), fundamental)
     return spaces[key]
 
 
@@ -278,22 +302,36 @@ def _check_samples(n: int) -> None:
         raise ValueError(f"need an even number of samples >= 2, got {n}")
 
 
-def _check_grid(amplitudes: np.ndarray, n: int) -> None:
-    # the arguments period_grid refuses
-    _check_samples(n)
-    if np.any(amplitudes[:, 2::2]):
+def _check_odd_harmonics(amplitudes: np.ndarray) -> None:
+    if np.any(amplitudes[..., 2::2]):
         raise ValueError("odd harmonics k >= 3 must be zero, as the rectifier's are")
 
 
-def _fill_grid(amplitudes: np.ndarray, scales, dc: float, n: int, spectrum, fundamental, grid):
-    """:func:`period_grid` of arguments :func:`_check_grid` passed (so n is
-    even), written into the ``(rows, n)`` array ``grid`` and returned, with
-    :func:`_work_arrays` ``spectrum`` and ``fundamental``.
+def _check_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> None:
+    # the arguments period_grid and grid_extrema refuse
+    _check_samples(n)
+    if np.ndim(amplitudes) != 2 or amplitudes.shape[1] < 1:
+        raise ValueError("amplitudes must be a 2-D block with K >= 1 harmonics per row")
+    scales = np.asarray(scales, dtype=float)
+    if scales.shape != amplitudes.shape[:1] or not ((scales >= 0) & (scales < math.inf)).all():
+        raise ValueError("need one finite scale >= 0 per row of amplitudes")
+    if not math.isfinite(dc):
+        raise ValueError(f"dc must be finite, got {dc}")
+    _check_odd_harmonics(amplitudes)
+
+
+def _grid_halves(live: np.ndarray, scales, dc: float, n: int, spectrum, fundamental, low, high):
+    """The period grid of the live amplitudes (:func:`_live`: k = 1, then
+    the even k) on its two half periods: ``E + L`` into the ``(rows, n/2)``
+    array ``low`` and ``E - L`` into ``high``, with :func:`_work_arrays`
+    ``spectrum`` and ``fundamental``.  n must be even.  Returns False, and
+    leaves ``high`` unwritten, where every row's c_1 is zero: ``high`` would
+    repeat ``low`` then.
     """
     scales = np.asarray(scales, dtype=float)
     # harmonic 2j is frequency j on the half grid
     points = n // 2
-    placed = amplitudes[:, 1::2]
+    placed = live[:, 1:]
     _fold_one_sided(spectrum, placed, points)
     # irfft (norm="forward") sums bin 0, the Nyquist bin and 2 Re of the rest;
     # the bins above the last harmonic's, the Nyquist bin among them, hold 0.
@@ -306,41 +344,57 @@ def _fill_grid(amplitudes: np.ndarray, scales, dc: float, n: int, spectrum, fund
     if points % 2 == 0 and top == points // 2:
         nyquist = spectrum[:, top]
         np.multiply(nyquist, 2.0, out=nyquist)
-    low, high = grid[:, :points], grid[:, points:]
     np.fft.irfft(spectrum, points, axis=1, norm="forward", out=low)
-    c1 = amplitudes[:, 0] * scales
-    if not c1.any():
-        high[...] = low
-        return grid
-    # Re(c_1 w^i) for i < n/2, then E_i -+ that on both half periods
+    c1 = (live[:, 0] * scales).tolist()
+    if not any(c1):
+        return False
+    # L_i = Re(c_1 w^i) for i < n/2, then E_i -+ L_i on both half periods:
+    # long rows a row at a time, so that L stays in cache; short ones in one
+    # broadcast over the block, which makes fewer calls
+    if points >= _ROW_AT_A_TIME:
+        parts = [(c.real, c.imag, even, odd) for c, even, odd in zip(c1, low, high)]
+    else:
+        column = np.array(c1)[:, None]
+        parts, fundamental = [(column.real, column.imag, low, high)], np.empty_like(low)
     cos, sin = _half_period_roots(n)
-    np.multiply(c1.imag[:, None], sin, out=high)
-    np.multiply(c1.real[:, None], cos, out=fundamental)
-    fundamental -= high
-    np.subtract(low, fundamental, out=high)
-    low += fundamental
-    return grid
+    for re, im, even, odd in parts:
+        np.multiply(sin, im, out=odd)
+        np.multiply(cos, re, out=fundamental)
+        np.subtract(fundamental, odd, out=fundamental)
+        np.subtract(even, fundamental, out=odd)
+        np.add(even, fundamental, out=even)
+    return True
+
+
+def _fill_grid(live: np.ndarray, scales, dc: float, n: int, spectrum, fundamental, grid):
+    """:func:`_grid_halves` written into the two halves of the ``(rows, n)`` array ``grid``."""
+    low, high = grid[:, : n // 2], grid[:, n // 2 :]
+    if not _grid_halves(live, scales, dc, n, spectrum, fundamental, low, high):
+        high[...] = low
 
 
 def period_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray:
     """Outputs at ``t_i = i / (n fc)``, i = 0..n-1, for each row of ``amplitudes``.
 
     Row r is ``scales[r] * (dc + sum_k Re(c_k exp(j 2 pi k i / n)))`` with
-    ``c_k = amplitudes[r, k - 1]``.  The odd harmonics k >= 3 must be exactly
-    zero, as the rectifier's are, and n must be even; otherwise
-    ``ValueError``.  The sum splits by parity as ``E_i + L_i`` with ``L_i =
-    Re(c_1 exp(j 2 pi i / n))``: E has period n/2, and ``L_(i + n/2) =
-    -L_i``.  So one real inverse FFT of length n/2 gives E, with harmonic 2j
-    folded into bin j of a one-sided spectrum (:func:`_fold_one_sided`; the
-    row scale and dc folded in too), and the output is ``E_i + L_i`` and
-    ``E_i - L_i`` on the two half periods.  Harmonics alias exactly on the
-    grid, so every even n >= 2 gives :func:`eval_filtered`'s values up to
-    roundoff, and each row is bitwise what it would be alone.  The result
-    is a new array; the thread's scratch arrays are left as they are.
+    ``c_k = amplitudes[r, k - 1]``.  ``ValueError`` unless ``amplitudes`` is
+    2-D with K >= 1 columns, ``scales`` holds one finite value >= 0 per
+    row, dc is finite, n is even and the odd harmonics k >= 3 are exactly
+    zero, as the rectifier's are.  The sum splits by parity as ``E_i + L_i``
+    with ``L_i = Re(c_1 exp(j 2 pi i / n))``: E has period n/2, and
+    ``L_(i + n/2) = -L_i``.  So one real inverse FFT of length n/2 gives E,
+    with harmonic 2j folded into bin j of a one-sided spectrum
+    (:func:`_fold_one_sided`; the row scale and dc folded in too), and the
+    output is ``E_i + L_i`` and ``E_i - L_i`` on the two half periods.
+    Harmonics alias exactly on the grid, so every even n >= 2 gives
+    :func:`eval_filtered`'s values up to roundoff, and each row is bitwise
+    what it would be alone.  The result is a new array; the thread's
+    scratch arrays are left as they are.
     """
-    _check_grid(amplitudes, n)
-    rows = amplitudes.shape[0]
-    return _fill_grid(amplitudes, scales, dc, n, *_work_arrays(rows, n), np.empty((rows, n)))
+    _check_grid(amplitudes, scales, dc, n)
+    grid = np.empty((amplitudes.shape[0], n))
+    _fill_grid(_live(amplitudes), scales, dc, n, *_work_arrays(amplitudes.shape[0], n), grid)
+    return grid
 
 
 def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
@@ -353,31 +407,37 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
     dropped tail for ``|u| <= 1/2`` is below 1e-17 of ``sum_k |c_k|``
     (:func:`_taylor_degree`); D = 17 at K = 256, n = 1024.  The D + 1 rows
     are the :func:`period_grid` of the amplitudes ``c_k (j k h)^p / p!``,
-    whose odd harmonics k >= 3 stay zero.
+    whose odd harmonics k >= 3 stay zero, so only the live k are formed.
     :func:`rectenna.rectifier.table_sum` evaluates it.  Raises
-    ``ValueError`` where ``2 pi K fc`` is not a finite float: the top
-    harmonic of a carrier ``fc`` has no angular frequency there.
+    ``ValueError`` unless ``amplitudes`` is 1-D with K >= 1 entries and
+    zero odd harmonics k >= 3, and fc is finite and > 0; and where ``2 pi
+    K fc`` is not a finite float: the top harmonic of a carrier ``fc`` has
+    no angular frequency there.
 
     Blocks of rows share one set of FFT work arrays, so a large table costs
     little more than its own size while built.
     """
+    if np.ndim(amplitudes) != 1 or amplitudes.shape[0] < 1:
+        raise ValueError("amplitudes must be a 1-D row of K >= 1 harmonics")
+    require_finite_positive("fc", fc)
     truncation = amplitudes.shape[0]
     # the table reads no fc, but near the float maximum a trace's times
     # (2 / fc / 1024 apart) are subnormal and their phases fc t meaningless
     if not math.isfinite(2.0 * math.pi * truncation * fc):
         raise ValueError("result is not finite; an input is out of range")
+    _check_odd_harmonics(amplitudes)
     n = 1 << (4 * truncation - 1).bit_length()
-    _check_grid(amplitudes[None, :], n)
     h = 2.0 * np.pi / n
     degree = _taylor_degree(0.5 * truncation * h)
     # row p of the amplitudes is c_k j^p (k h)^p / p!: a running product
     # gives the real (k h)^p / p!, and multiplying by j^p is exact
-    kh = h * np.arange(1, truncation + 1)
-    magnitude = np.ones(truncation)
+    live = _live(amplitudes)
+    kh = h * _live_harmonics(truncation)
+    magnitude = np.ones(live.shape[0])
     table = np.empty((degree + 1, n))
     block = min(degree + 1, max(1, _TABLE_BLOCK_CELLS // n))
     spectrum, fundamental = _work_arrays(block, n)
-    rows = np.empty((block, truncation), dtype=complex)
+    rows = np.empty((block, live.shape[0]), dtype=complex)
     ones = np.ones(block)
     for start in range(0, degree + 1, block):
         stop = min(start + block, degree + 1)
@@ -385,11 +445,10 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
             if p:
                 magnitude *= kh
                 magnitude /= p
-            np.multiply(amplitudes, (1.0, 1j, -1.0, -1j)[p % 4] * magnitude, out=rows[p - start])
+            np.multiply(live, (1.0, 1j, -1.0, -1j)[p % 4] * magnitude, out=rows[p - start])
         m = stop - start
-        _fill_grid(rows[:m], ones[:m], 0.0, n, spectrum[:m], fundamental[:m], table[start:stop])
-    table.setflags(write=False)
-    return table
+        _fill_grid(rows[:m], ones[:m], 0.0, n, spectrum[:m], fundamental, table[start:stop])
+    return _frozen(table)
 
 
 @lru_cache(maxsize=8)
@@ -397,14 +456,12 @@ def _roots_of_unity(n: int) -> np.ndarray:
     """``exp(j 2 pi m / n)`` for m = 0..n-1, read-only.
 
     Angles are taken in ``(-pi, pi]``, so each root is within roundoff of
-    exact; :func:`_local_polynomial` indexes it by ``(i k) mod n``, which is
-    exact integer arithmetic.
+    exact; :func:`_local_polynomials` indexes it by ``(i k) mod n``, which
+    is exact integer arithmetic.
     """
     m = np.arange(n)
     m[2 * m > n] -= n
-    roots = np.exp((2j * np.pi / n) * m)
-    roots.setflags(write=False)
-    return roots
+    return _frozen(np.exp((2j * np.pi / n) * m))
 
 
 @lru_cache(maxsize=8)
@@ -412,10 +469,7 @@ def _half_period_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the first n/2 of :func:`_roots_of_unity`,
     as contiguous read-only arrays (bitwise the same values)."""
     roots = _roots_of_unity(n)[: n // 2]
-    cos, sin = np.ascontiguousarray(roots.real), np.ascontiguousarray(roots.imag)
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    return cos, sin
+    return _frozen(np.ascontiguousarray(roots.real)), _frozen(np.ascontiguousarray(roots.imag))
 
 
 def _taylor_degree(x: float) -> int:
@@ -452,43 +506,81 @@ def _taylor_table(truncation: int, n: int) -> np.ndarray:
     table = np.empty((2 * truncation, degree + 1))
     table[0::2] = powers.real
     table[1::2] = -powers.imag
-    table.setflags(write=False)
-    return table
+    return _frozen(table)
 
 
-def _local_polynomial(amplitudes: np.ndarray, i: int, n: int) -> list[float]:
-    """Coefficients ``r_p`` of ``Re sum_k c_k exp(j k (theta_i + u h)) = sum_p r_p u^p``.
+def _local_polynomials(live: np.ndarray, indices: list[list[int]], n: int, truncation: int):
+    """Coefficients ``r_p`` of ``Re sum_k c_k exp(j k (theta_i + u h)) = sum_p r_p u^p``
+    for each lane: row r of the live amplitudes (:func:`_live`; ``c_k`` is
+    zero at the dead k) at grid point ``i = indices[s][r]``, for each set s
+    of one index per row.  Lane ``s * rows + r`` of the result.
 
-    ``theta_i = i h`` is grid point i, ``h = 2 pi / n`` and ``c_k =
-    amplitudes[k - 1]``; the expansion holds to 1e-17 of ``sum_k |c_k|`` for
-    |u| <= 1.  One vector-matrix product, so a row's coefficients do not
-    depend on the other rows of its block.
+    ``theta_i = i h`` and ``h = 2 pi / n``; the expansion holds to 1e-17 of
+    ``sum_k |c_k|`` for |u| <= 1.  One stacked product of each lane's
+    ``(1, 2K)`` row with the same :func:`_taylor_table`, so a lane's
+    coefficients do not depend on the other lanes.
     """
-    truncation = amplitudes.shape[0]
-    ks = np.arange(1, truncation + 1)
-    shifted = amplitudes * _roots_of_unity(n)[(i * ks) % n]
-    return (shifted.view(float) @ _taylor_table(truncation, n)).tolist()
+    phases = np.multiply.outer(np.array(indices, dtype=np.intp), _live_harmonics(truncation))
+    phases %= n
+    roots = _roots_of_unity(n).take(phases)
+    shifted = np.zeros((len(indices), live.shape[0], truncation), dtype=complex)
+    np.multiply(live[:, :1], roots[..., :1], out=shifted[..., :1])
+    np.multiply(live[:, 1:], roots[..., 1:], out=shifted[..., 1::2])
+    stacked = shifted.view(float).reshape(-1, 1, 2 * truncation)
+    return (stacked @ _taylor_table(truncation, n))[:, 0].tolist()
 
 
 def _newton_extremum(coeffs: list[float], sign: float) -> float:
     """``sum_p coeffs[p] u^p`` at the Newton extremum nearest u = 0, |u| <= 1.
 
     Seeks a maximum for sign = +1 and a minimum for sign = -1; stops where
-    the second derivative has the wrong sign for one.
+    the second derivative has the wrong sign for one, or after a step below
+    1e-9, where only the value is evaluated.  At u = 0 the value, slope and
+    half curvature are the first three coefficients (a degree below 2 has
+    no curvature).
     """
+    value, slope, half_curve = (coeffs + [0.0, 0.0])[:3]
     backwards = coeffs[::-1]
-    u, step = 0.0, math.inf
-    for _ in range(_NEWTON_STEPS + 1):
+    u = 0.0
+    for _ in range(_NEWTON_STEPS):
+        if sign * half_curve >= 0.0:
+            break
+        u_next = min(1.0, max(-1.0, u - 0.5 * slope / half_curve))
+        step, u = u_next - u, u_next
+        if abs(step) <= _NEWTON_TOL:
+            value = 0.0
+            for c in backwards:
+                value = value * u + c
+            break
         value = slope = half_curve = 0.0
         for c in backwards:
             half_curve = half_curve * u + slope
             slope = slope * u + value
             value = value * u + c
-        if abs(step) <= _NEWTON_TOL or sign * half_curve >= 0.0:
-            break
-        u_next = min(1.0, max(-1.0, u - 0.5 * slope / half_curve))
-        step, u = u_next - u, u_next
     return value
+
+
+def _first_extreme(halves: np.ndarray, arg, better) -> tuple[list[int], list[float]]:
+    """``arg`` (``np.argmax`` or ``np.argmin``) of each row of the grid whose
+    half periods are ``halves[0]`` and ``halves[1]`` (``halves`` is ``(1 or 2,
+    rows, n/2)``; one half stands for two equal ones), and the grid value
+    there.
+
+    The index is what ``arg`` gives on the whole grid row: the later half
+    wins only where its value is ``better`` (``>`` or ``<``) than the
+    earlier one's, or is nan where that is not, so a tie keeps the first
+    occurrence.
+    """
+    indices, values = [], []
+    for r, (i, *later) in enumerate(zip(*arg(halves, axis=2).tolist())):
+        value = halves.item(0, r, i)
+        for j in later:
+            other = halves.item(1, r, j)
+            if better(other, value) or (other != other and value == value):
+                i, value = halves.shape[2] + j, other
+        indices.append(i)
+        values.append(value)
+    return indices, values
 
 
 def grid_extrema(
@@ -496,43 +588,53 @@ def grid_extrema(
 ) -> tuple[list[float], list[float]]:
     """Max and min of each :func:`period_grid` row over one carrier period.
 
-    Where the grid spacing ``1 / (fc n)`` is coarser than 1e-12 s, both grid
-    extrema are Newton-polished on the exact trig polynomial: the row's
-    series is expanded around the grid argmax and argmin in powers of the
-    offset u (in grid steps, ``|u| <= 1``; :func:`_local_polynomial`), and
-    Newton's method runs on that polynomial (:func:`_newton_extremum`).  Each
-    result is the better of the grid value and the polished one.  Finer
-    grids keep their grid extrema, which already lie within ``scale
-    (2 pi / n)^2 / 8 sum_k k^2 |c_k|`` of the exact ones.  So do grids with
-    fewer than two samples per period of the top harmonic (``n < 2K``):
-    there the expansion over one step loses about ``exp(2 pi K / n)`` in
-    precision, and the grid extremum need not sit one step from the exact
-    one.  Each row is bitwise what it would be alone.
+    Refuses what :func:`period_grid` refuses, and a carrier fc that is not
+    finite and > 0 (``ValueError``).  Where the grid spacing ``1 / (fc n)``
+    is coarser than 1e-12 s, both grid extrema are Newton-polished on the
+    exact trig polynomial: the row's series is expanded around the grid
+    argmax and argmin in powers of the offset u (in grid steps, ``|u| <=
+    1``; :func:`_local_polynomials`), and Newton's method runs on that
+    polynomial (:func:`_newton_extremum`).  Each result is the better of the
+    grid value and the polished one.  Finer grids keep their grid extrema,
+    which already lie within ``scale (2 pi / n)^2 / 8 sum_k k^2 |c_k|`` of
+    the exact ones.  So do grids with fewer than two samples per period of
+    the top harmonic (``n < 2K``): there the expansion over one step loses
+    about ``exp(2 pi K / n)`` in precision, and the grid extremum need not
+    sit one step from the exact one.  Each row is bitwise what it would be
+    alone.
     """
-    _check_grid(amplitudes, n)
-    return _grid_extrema(amplitudes, scales, dc, fc, n)
+    _check_grid(amplitudes, scales, dc, n)
+    require_finite_positive("fc", fc)
+    return _grid_extrema(_live(amplitudes), scales, dc, fc, n, amplitudes.shape[1])
 
 
 def _grid_extrema(
-    amplitudes: np.ndarray, scales, dc: float, fc: float, n: int
+    live: np.ndarray, scales, dc: float, fc: float, n: int, truncation: int
 ) -> tuple[list[float], list[float]]:
-    """:func:`grid_extrema` without the scan for nonzero odd harmonics k >= 3.
+    """:func:`grid_extrema` of the live amplitudes (:func:`_live`) of a
+    K = ``truncation`` series, with no argument checks but n's.
 
-    For amplitudes ``coefficients(kind, K) * transfers``, whose odd
-    harmonics are the coefficients' exact zeros times a finite transfer.
+    The grid's two half periods go into this thread's contiguous scratch
+    halves, and the extrema and their first-occurrence indices are read
+    from the halves, with no full-period copy.
     """
     _check_samples(n)
-    # this thread's scratch grid, which the next call overwrites
-    values = _fill_grid(amplitudes, scales, dc, n, *_scratch(amplitudes.shape[0], n))
-    vmaxs, vmins = values.max(axis=1).tolist(), values.min(axis=1).tolist()
-    if (1.0 / fc) / n <= _POLISH_SPACING or n < 2 * amplitudes.shape[1]:
-        return vmaxs, vmins
-    argmaxs, argmins = values.argmax(axis=1).tolist(), values.argmin(axis=1).tolist()
+    rows = live.shape[0]
+    # this thread's scratch, which the next call overwrites
+    spectrum, halves, fundamental = _scratch(rows, n)
+    if not _grid_halves(live, scales, dc, n, spectrum, fundamental, *halves):
+        halves = halves[:1]
+    if (1.0 / fc) / n <= _POLISH_SPACING or n < 2 * truncation:
+        return halves.max(axis=(0, 2)).tolist(), halves.min(axis=(0, 2)).tolist()
+    top_at, tops = _first_extreme(halves, np.argmax, operator.gt)
+    bottom_at, bottoms = _first_extreme(halves, np.argmin, operator.lt)
+    coeffs = _local_polynomials(live, [top_at, bottom_at], n, truncation)
+    vmaxs, vmins = [], []
     for r, scale in enumerate(np.asarray(scales, dtype=float).tolist()):
-        top = _newton_extremum(_local_polynomial(amplitudes[r], argmaxs[r], n), 1.0)
-        bottom = _newton_extremum(_local_polynomial(amplitudes[r], argmins[r], n), -1.0)
-        vmaxs[r] = max(vmaxs[r], scale * (dc + top))
-        vmins[r] = min(vmins[r], scale * (dc + bottom))
+        top = _newton_extremum(coeffs[r], 1.0)
+        bottom = _newton_extremum(coeffs[rows + r], -1.0)
+        vmaxs.append(max(tops[r], scale * (dc + top)))
+        vmins.append(min(bottoms[r], scale * (dc + bottom)))
     return vmaxs, vmins
 
 
@@ -583,17 +685,23 @@ def ripple_peak(
     require_finite_positive("amplitude", amplitude, allow_zero=True)
     require_finite_positive("fc", fc)
     x = fc * filt.tau
-    wt = _omega_tau([x], truncation)
-    atten = np.sqrt(1.0 + wt * wt)
     scale = _amplification(filt.resistance, x) * amplitude
-    return float(aligned_peaks(kind, (scale,), filt.resistance, atten)[0])
+    return float(aligned_peaks(kind, (scale,), filt.resistance, _attenuation([x], truncation))[0])
+
+
+def _attenuation(xs, truncation: int) -> np.ndarray:
+    """``sqrt(1 + (2 pi k x)^2)`` for k = 1..K, one row per ``x = fc tau``."""
+    wt = _omega_tau(xs, _harmonic_omegas(truncation))
+    return np.sqrt(1.0 + wt * wt)
 
 
 def aligned_peaks(kind: RectifierKind, scales, resistance: float, atten: np.ndarray) -> np.ndarray:
-    """:func:`ripple_peak` for each row of a :func:`filter_response` attenuation.
+    """:func:`ripple_peak` for each row of an :func:`_attenuation` matrix.
 
     ``scale R (a0/2 + sum_k a_k / atten_k)``, where ``scale`` is the row's
-    input peak ``delta A``.
+    input peak ``delta A``.  The matrix keeps all K columns, the zero odd
+    harmonics' too, so that each row sums the same terms in the same order
+    as the per-point :func:`ripple_peak`.
     """
     harmonics = np.sum(coefficients(kind, atten.shape[1]) / atten, axis=1)
     a0 = fourier_coefficient(kind, 0)

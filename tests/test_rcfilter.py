@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import operator
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from rectenna import (
     sampled_ripple,
     sweep_cutoff,
 )
-from rectenna.rcfilter import grid_extrema, period_grid, taylor_table
+from rectenna.rcfilter import _first_extreme, grid_extrema, period_grid, taylor_table
 
 FULL = RectifierKind.FULL_WAVE
 HALF = RectifierKind.HALF_WAVE
@@ -441,6 +442,162 @@ def test_period_grid_rejects_odd_harmonics_above_one(n, k):
         period_grid(amps, [1.0, 2.0], 0.5, n)
     with pytest.raises(ValueError):
         grid_extrema(amps, [1.0, 2.0], 0.5, 13.56e6, n)
+
+
+# Arguments the public grid functions refuse, each with the start of its
+# message: a replacement for GRID_CALL's arguments.  Two identical rows with
+# K = 4 (k = 3 zero) are good arguments.
+GRID_CALL = {
+    "amplitudes": np.array([[1.0, 1.0, 0.0, 1.0]] * 2), "scales": [1.0, 1.0], "dc": 0.0, "n": 8,
+}
+BAD_GRID_ARGUMENTS = {
+    "one-scale-for-two-rows": ({"scales": [1.0]}, "need one finite scale"),
+    "three-scales-for-two-rows": ({"scales": [1.0, 1.0, 1.0]}, "need one finite scale"),
+    "scalar-scale": ({"scales": 1.0}, "need one finite scale"),
+    "nan-scale": ({"scales": [1.0, math.nan]}, "need one finite scale"),
+    "inf-scale": ({"scales": [math.inf, 1.0]}, "need one finite scale"),
+    "negative-scale": ({"scales": [1.0, -1.0]}, "need one finite scale"),
+    "nan-dc": ({"dc": math.nan}, "dc must be finite"),
+    "inf-dc": ({"dc": -math.inf}, "dc must be finite"),
+    "no-harmonics": (
+        {"amplitudes": np.zeros((1, 0)), "scales": [1.0]}, "amplitudes must be a 2-D"
+    ),
+    "one-dimensional": (
+        {"amplitudes": np.array([1.0, 1.0, 0.0, 1.0]), "scales": [1.0]}, "amplitudes must be a 2-D"
+    ),
+}
+
+
+def grid_call(function, fc=1e6, **changes):
+    args = {**GRID_CALL, **changes}
+    if function is period_grid:
+        return period_grid(args["amplitudes"], args["scales"], args["dc"], args["n"])
+    return grid_extrema(args["amplitudes"], args["scales"], args["dc"], fc, args["n"])
+
+
+@pytest.mark.parametrize("function", [period_grid, grid_extrema], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", list(BAD_GRID_ARGUMENTS))
+def test_public_grid_functions_refuse_bad_arguments(function, case):
+    # a caller gets an error, not extrema of rows it did not scale (one
+    # scale broadcast to a block polishes only row 0), nan output, or an
+    # IndexError from deep in the kernel
+    changes, message = BAD_GRID_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        grid_call(function, **changes)
+
+
+@pytest.mark.parametrize("fc", [0.0, -1.0, math.nan, math.inf])
+def test_grid_extrema_refuses_a_bad_carrier(fc):
+    # the carrier only picks the polish, so a bad one would pass unnoticed
+    # (or divide by zero at fc = 0)
+    with pytest.raises(ValueError, match="^fc must be finite"):
+        grid_call(grid_extrema, fc=fc)
+
+
+def test_grid_extrema_of_identical_rows_are_identical():
+    vmaxs, vmins = grid_call(grid_extrema)
+    assert vmaxs[0] == vmaxs[1] and vmins[0] == vmins[1]
+    grid = grid_call(period_grid)
+    assert vmaxs[0] >= grid.max() and vmins[0] <= grid.min()
+
+
+def test_grid_functions_take_a_block_of_no_rows():
+    empty = np.zeros((0, 4))
+    assert period_grid(empty, [], 0.0, 8).shape == (0, 8)
+    assert grid_extrema(empty, [], 0.0, 1e6, 8) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "amplitudes,fc,message",
+    [
+        (np.zeros(0), FC, "amplitudes must be a 1-D"),
+        (np.zeros((2, 4)), FC, "amplitudes must be a 1-D"),
+        (coefficients(HALF, 8), 0.0, "fc must be finite"),
+        (coefficients(HALF, 8), -1.0, "fc must be finite"),
+    ],
+    ids=["no-harmonics", "two-dimensional", "zero-carrier", "negative-carrier"],
+)
+def test_taylor_table_refuses_bad_arguments(amplitudes, fc, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        taylor_table(amplitudes, fc)
+
+
+def whole_grid(halves):
+    """The grid rows whose half periods are ``halves`` (one half: two equal ones)."""
+    halves = np.asarray(halves, dtype=float)
+    return np.concatenate([halves[0], halves[-1]], axis=1)
+
+
+NAN = math.nan
+HAND_MADE_HALVES = {
+    "max-tie-across-halves": [[[1.0, 3.0, 2.0]], [[3.0, 0.0, 3.0]]],
+    "min-tie-across-halves": [[[0.0, 5.0, -2.0]], [[-2.0, 7.0, -2.0]]],
+    "ties-within-halves": [[[5.0, 5.0, 0.0]], [[5.0, -1.0, -1.0]]],
+    "later-half-better": [[[1.0, 2.0, 3.0]], [[4.0, 0.0, 4.0]]],
+    "signed-zero-tie": [[[0.0, -1.0]], [[-0.0, -1.0]]],
+    "nan-in-earlier-half": [[[1.0, NAN, 2.0]], [[NAN, 5.0, 0.0]]],
+    "nan-in-later-half-only": [[[1.0, 2.0, 3.0]], [[4.0, NAN, 0.0]]],
+    "one-half-for-two": [[[2.0, 1.0, 2.0]]],
+    "three-rows": [
+        [[1.0, 3.0], [0.0, 0.0], [2.0, -1.0]],
+        [[3.0, 1.0], [-0.0, 1.0], [2.0, -1.0]],
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(HAND_MADE_HALVES))
+@pytest.mark.parametrize(
+    "arg,better", [(np.argmax, operator.gt), (np.argmin, operator.lt)], ids=["max", "min"]
+)
+def test_extreme_of_two_halves_is_the_first_occurrence_on_the_whole_grid(case, arg, better):
+    halves = np.array(HAND_MADE_HALVES[case])
+    grid = whole_grid(halves)
+    indices, values = _first_extreme(halves, arg, better)
+    expected = arg(grid, axis=1)
+    assert indices == expected.tolist()
+    assert np.array(values).tobytes() == grid[np.arange(len(grid)), expected].tobytes()
+
+
+EIGHT_CAPS = [0.0, 1e-12, 1e-11, 3e-11, 1e-10, 1e-9, 0.0, 1e-8]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=KINDS,
+    truncation=st.integers(1, 700),
+    n=st.integers(1, 4096).map(lambda m: 2 * m),
+    caps=st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-16, max_value=1e-8)),
+        min_size=1, max_size=9,
+    ),
+    log_fc=st.floats(min_value=5.0, max_value=11.0),
+)
+# polished blocks of 8 rows (16 stacked lanes) at 13.56 MHz, both kinds;
+# folds (n < 2K) that the polish skips; an unpolished 915 MHz block
+@example(kind=HALF, truncation=256, n=4096, caps=EIGHT_CAPS, log_fc=7.13)
+@example(kind=FULL, truncation=256, n=4096, caps=EIGHT_CAPS, log_fc=7.13)
+@example(kind=HALF, truncation=700, n=1000, caps=[0.0, 1e-10], log_fc=7.0)
+@example(kind=FULL, truncation=700, n=2, caps=[1e-10, 0.0, 1e-9], log_fc=5.0)
+@example(kind=HALF, truncation=256, n=4096, caps=[0.0, 1e-11, 1e-10], log_fc=8.96)
+def test_grid_extrema_read_the_public_grid(kind, truncation, n, caps, log_fc):
+    # one block of rows with their own capacitance each, as a sweep forms it
+    fc = 10.0**log_fc
+    rows = [output_series(kind, RcFilter(2.0, c), 1.0, fc, truncation) for c in caps]
+    amps = np.array([fs.amplitudes for fs in rows])
+    scales = [fs.base.scale for fs in rows]
+    dc = 0.5 * rows[0].base.a0 * 2.0
+    vmaxs, vmins = grid_extrema(amps, scales, dc, fc, n)
+    grid = period_grid(amps, scales, dc, n)
+    grid_max, grid_min = grid.max(axis=1).tolist(), grid.min(axis=1).tolist()
+    if (1.0 / fc) / n <= 1e-12 or n < 2 * truncation:
+        assert np.array(vmaxs).tobytes() == np.array(grid_max).tobytes()
+        assert np.array(vmins).tobytes() == np.array(grid_min).tobytes()
+        return
+    assert all(v >= g for v, g in zip(vmaxs, grid_max))
+    assert all(v <= g for v, g in zip(vmins, grid_min))
+    for r in range(len(rows)):
+        alone = grid_extrema(amps[r : r + 1], scales[r : r + 1], dc, fc, n)
+        assert np.array(alone).tobytes() == np.array([[vmaxs[r]], [vmins[r]]]).tobytes()
 
 
 def output_norm(fs):
