@@ -18,18 +18,18 @@ even, and the grid reads only the 1 + K/2 live columns (k = 1 and the even
 k; :func:`_live`): the even ones fold into an ``(m, n/4 + 1)`` one-sided
 spectrum, one real inverse FFT of length n/2 along its rows gives them on
 half the grid, and the c_1 cosine is then added on one half period and
-subtracted on the other (a row at a time where rows are long).  The design
-layer's sweep blocks and its one-row ripple metric form their transfers at
-the live k only, from a live ``2 pi k`` row and a live coefficient row
-cached per K and per (kind, K); they skip the public functions' argument
-checks and build no series object.  :func:`period_samples` and
+subtracted on the other, a row at a time.  The design layer's sweep
+blocks and its one-row ripple metric form their transfers at the live k
+only, from a live ``2 pi k`` row and a live coefficient row cached per K
+and per (kind, K); they skip the public functions' argument checks and
+build no series object.  :func:`period_samples` and
 :func:`period_extrema` are the one-row case.  Where that grid is coarser
 than 1e-12 s, :func:`grid_extrema` Newton-polishes both its extrema on the
 exact trig polynomial, with one stacked product for the Taylor
 coefficients of every row's argmax and argmin; finer grids keep their grid
-extrema.  Its grid halves live in a per-thread scratch array that later
-calls reuse, and the extrema are read from the halves, with no full-period
-copy.
+extrema.  Its grid lives in a per-thread scratch array that later calls
+reuse; where c_1 is zero (the full wave) only the first half period is
+written and read.
 :func:`eval_filtered` serves arbitrary times from a Taylor table
 (:func:`taylor_table`): one period grid whose D + 1 rows are the series'
 first D + 1 Taylor coefficients at every grid phase, built once per series.
@@ -40,7 +40,6 @@ polynomial in the offset from it.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -85,10 +84,6 @@ _TAYLOR_TAIL = 1e-17
 # block's work arrays hold ~50-70 KB whatever the table's size, so a K = 1024
 # table peaks at ~1.2x its own 590 KB while built, against ~1.7x with 1 << 15
 _TABLE_BLOCK_CELLS = 1 << 13
-# half-period samples from which a grid's c_1 term runs a row at a time: at
-# 2048 that is ~30% faster for 8 rows than one broadcast over the block, at
-# 128 about 3x slower for the 18 rows of a K = 64 Taylor table
-_ROW_AT_A_TIME = 1024
 # Newton on the local polynomial: step cap, and the step (in grid steps)
 # below which the next one would move the value by less than roundoff
 _NEWTON_STEPS = 8
@@ -157,16 +152,12 @@ def _omega_tau(xs, omegas: np.ndarray) -> np.ndarray:
     return np.array(xs, dtype=float)[:, None] * omegas
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """``array``, made read-only and returned."""
-    array.setflags(write=False)
-    return array
-
-
 @lru_cache(maxsize=8)
 def _harmonic_omegas(truncation: int) -> np.ndarray:
     """``2 pi k`` for k = 1..K, read-only: one row for every carrier and tau."""
-    return _frozen(2.0 * np.pi * np.arange(1, truncation + 1, dtype=float))
+    omegas = 2.0 * np.pi * np.arange(1, truncation + 1, dtype=float)
+    omegas.setflags(write=False)
+    return omegas
 
 
 def _live(values: np.ndarray) -> np.ndarray:
@@ -179,19 +170,25 @@ def _live(values: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _live_harmonics(truncation: int) -> np.ndarray:
     """The live k (1, 2, 4, ..., up to K) as integers, read-only."""
-    return _frozen(_live(np.arange(1, truncation + 1)))
+    harmonics = _live(np.arange(1, truncation + 1))
+    harmonics.setflags(write=False)
+    return harmonics
 
 
 @lru_cache(maxsize=8)
 def _live_omegas(truncation: int) -> np.ndarray:
     """:func:`_harmonic_omegas` at the live k, read-only."""
-    return _frozen(_live(_harmonic_omegas(truncation)))
+    omegas = _live(_harmonic_omegas(truncation))
+    omegas.setflags(write=False)
+    return omegas
 
 
 @lru_cache(maxsize=16)
 def _live_coefficients(kind: RectifierKind, truncation: int) -> np.ndarray:
     """The rectifier coefficients ``a_k`` at the live k, read-only."""
-    return _frozen(_live(coefficients(kind, truncation)))
+    live = _live(coefficients(kind, truncation))
+    live.setflags(write=False)
+    return live
 
 
 def _transfers(resistance: float, wt: np.ndarray) -> np.ndarray:
@@ -203,7 +200,9 @@ def _transfers(resistance: float, wt: np.ndarray) -> np.ndarray:
     denominator = np.empty(wt.shape, dtype=complex)
     denominator.real = 1.0
     denominator.imag = wt
-    return _frozen(resistance / denominator)
+    transfers = resistance / denominator
+    transfers.setflags(write=False)
+    return transfers
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,9 @@ class FilteredSeries:
     @cached_property
     def amplitudes(self) -> np.ndarray:
         """Complex amplitudes ``c_k = a_k H(k fc)``, read-only."""
-        return _frozen(self.base.ak * self.transfers)
+        amps = self.base.ak * self.transfers
+        amps.setflags(write=False)
+        return amps
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -261,7 +262,7 @@ def _work_arrays(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's :func:`_work_arrays` and ``(2, rows, n/2)`` grid halves.
+    """This thread's :func:`_work_arrays` and grid for a ``(rows, n)`` grid.
 
     Kept for the last few shapes used, oldest dropped first.
     """
@@ -270,8 +271,7 @@ def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if key not in spaces:
         if len(spaces) >= _SCRATCH_SHAPES:
             del spaces[next(iter(spaces))]
-        spectrum, fundamental = _work_arrays(rows, n)
-        spaces[key] = (spectrum, np.empty((2, rows, n // 2)), fundamental)
+        spaces[key] = (*_work_arrays(rows, n), np.empty((rows, n)))
     return spaces[key]
 
 
@@ -320,13 +320,12 @@ def _check_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> None:
     _check_odd_harmonics(amplitudes)
 
 
-def _grid_halves(live: np.ndarray, scales, dc: float, n: int, spectrum, fundamental, low, high):
+def _fill_grid(live: np.ndarray, scales, dc: float, n: int, spectrum, fundamental, grid) -> bool:
     """The period grid of the live amplitudes (:func:`_live`: k = 1, then
-    the even k) on its two half periods: ``E + L`` into the ``(rows, n/2)``
-    array ``low`` and ``E - L`` into ``high``, with :func:`_work_arrays`
-    ``spectrum`` and ``fundamental``.  n must be even.  Returns False, and
-    leaves ``high`` unwritten, where every row's c_1 is zero: ``high`` would
-    repeat ``low`` then.
+    the even k), written into the ``(rows, n)`` array ``grid`` with
+    :func:`_work_arrays` ``spectrum`` and ``fundamental``.  n must be even.
+    Returns False, and leaves the grid's second half period unwritten,
+    where every row's c_1 is zero: it would repeat the first then.
     """
     scales = np.asarray(scales, dtype=float)
     # harmonic 2j is frequency j on the half grid
@@ -344,33 +343,21 @@ def _grid_halves(live: np.ndarray, scales, dc: float, n: int, spectrum, fundamen
     if points % 2 == 0 and top == points // 2:
         nyquist = spectrum[:, top]
         np.multiply(nyquist, 2.0, out=nyquist)
-    np.fft.irfft(spectrum, points, axis=1, norm="forward", out=low)
+    np.fft.irfft(spectrum, points, axis=1, norm="forward", out=grid[:, :points])
     c1 = (live[:, 0] * scales).tolist()
     if not any(c1):
         return False
-    # L_i = Re(c_1 w^i) for i < n/2, then E_i -+ L_i on both half periods:
-    # long rows a row at a time, so that L stays in cache; short ones in one
-    # broadcast over the block, which makes fewer calls
-    if points >= _ROW_AT_A_TIME:
-        parts = [(c.real, c.imag, even, odd) for c, even, odd in zip(c1, low, high)]
-    else:
-        column = np.array(c1)[:, None]
-        parts, fundamental = [(column.real, column.imag, low, high)], np.empty_like(low)
+    # L_i = Re(c_1 w^i) for i < n/2, then E_i -+ L_i on both half periods,
+    # a row at a time: each half row is contiguous, and L stays in cache
     cos, sin = _half_period_roots(n)
-    for re, im, even, odd in parts:
-        np.multiply(sin, im, out=odd)
-        np.multiply(cos, re, out=fundamental)
-        np.subtract(fundamental, odd, out=fundamental)
-        np.subtract(even, fundamental, out=odd)
-        np.add(even, fundamental, out=even)
+    for c, row in zip(c1, grid):
+        low, high = row[:points], row[points:]
+        np.multiply(sin, c.imag, out=high)
+        np.multiply(cos, c.real, out=fundamental)
+        np.subtract(fundamental, high, out=fundamental)
+        np.subtract(low, fundamental, out=high)
+        np.add(low, fundamental, out=low)
     return True
-
-
-def _fill_grid(live: np.ndarray, scales, dc: float, n: int, spectrum, fundamental, grid):
-    """:func:`_grid_halves` written into the two halves of the ``(rows, n)`` array ``grid``."""
-    low, high = grid[:, : n // 2], grid[:, n // 2 :]
-    if not _grid_halves(live, scales, dc, n, spectrum, fundamental, low, high):
-        high[...] = low
 
 
 def period_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray:
@@ -392,8 +379,10 @@ def period_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray
     scratch arrays are left as they are.
     """
     _check_grid(amplitudes, scales, dc, n)
-    grid = np.empty((amplitudes.shape[0], n))
-    _fill_grid(_live(amplitudes), scales, dc, n, *_work_arrays(amplitudes.shape[0], n), grid)
+    rows = amplitudes.shape[0]
+    grid = np.empty((rows, n))
+    if not _fill_grid(_live(amplitudes), scales, dc, n, *_work_arrays(rows, n), grid):
+        grid[:, n // 2 :] = grid[:, : n // 2]
     return grid
 
 
@@ -447,8 +436,11 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
                 magnitude /= p
             np.multiply(live, (1.0, 1j, -1.0, -1j)[p % 4] * magnitude, out=rows[p - start])
         m = stop - start
-        _fill_grid(rows[:m], ones[:m], 0.0, n, spectrum[:m], fundamental, table[start:stop])
-    return _frozen(table)
+        block_rows = table[start:stop]
+        if not _fill_grid(rows[:m], ones[:m], 0.0, n, spectrum[:m], fundamental, block_rows):
+            block_rows[:, n // 2 :] = block_rows[:, : n // 2]
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=8)
@@ -461,7 +453,9 @@ def _roots_of_unity(n: int) -> np.ndarray:
     """
     m = np.arange(n)
     m[2 * m > n] -= n
-    return _frozen(np.exp((2j * np.pi / n) * m))
+    roots = np.exp((2j * np.pi / n) * m)
+    roots.setflags(write=False)
+    return roots
 
 
 @lru_cache(maxsize=8)
@@ -469,7 +463,10 @@ def _half_period_roots(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the first n/2 of :func:`_roots_of_unity`,
     as contiguous read-only arrays (bitwise the same values)."""
     roots = _roots_of_unity(n)[: n // 2]
-    return _frozen(np.ascontiguousarray(roots.real)), _frozen(np.ascontiguousarray(roots.imag))
+    cos, sin = np.ascontiguousarray(roots.real), np.ascontiguousarray(roots.imag)
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
 
 
 def _taylor_degree(x: float) -> int:
@@ -506,7 +503,8 @@ def _taylor_table(truncation: int, n: int) -> np.ndarray:
     table = np.empty((2 * truncation, degree + 1))
     table[0::2] = powers.real
     table[1::2] = -powers.imag
-    return _frozen(table)
+    table.setflags(write=False)
+    return table
 
 
 def _local_polynomials(live: np.ndarray, indices: list[list[int]], n: int, truncation: int):
@@ -560,29 +558,6 @@ def _newton_extremum(coeffs: list[float], sign: float) -> float:
     return value
 
 
-def _first_extreme(halves: np.ndarray, arg, better) -> tuple[list[int], list[float]]:
-    """``arg`` (``np.argmax`` or ``np.argmin``) of each row of the grid whose
-    half periods are ``halves[0]`` and ``halves[1]`` (``halves`` is ``(1 or 2,
-    rows, n/2)``; one half stands for two equal ones), and the grid value
-    there.
-
-    The index is what ``arg`` gives on the whole grid row: the later half
-    wins only where its value is ``better`` (``>`` or ``<``) than the
-    earlier one's, or is nan where that is not, so a tie keeps the first
-    occurrence.
-    """
-    indices, values = [], []
-    for r, (i, *later) in enumerate(zip(*arg(halves, axis=2).tolist())):
-        value = halves.item(0, r, i)
-        for j in later:
-            other = halves.item(1, r, j)
-            if better(other, value) or (other != other and value == value):
-                i, value = halves.shape[2] + j, other
-        indices.append(i)
-        values.append(value)
-    return indices, values
-
-
 def grid_extrema(
     amplitudes: np.ndarray, scales, dc: float, fc: float, n: int
 ) -> tuple[list[float], list[float]]:
@@ -614,27 +589,28 @@ def _grid_extrema(
     """:func:`grid_extrema` of the live amplitudes (:func:`_live`) of a
     K = ``truncation`` series, with no argument checks but n's.
 
-    The grid's two half periods go into this thread's contiguous scratch
-    halves, and the extrema and their first-occurrence indices are read
-    from the halves, with no full-period copy.
+    The grid goes into this thread's scratch grid; where every row's c_1 is
+    zero the extrema are read from its first half period alone, which the
+    second would repeat.
     """
     _check_samples(n)
     rows = live.shape[0]
     # this thread's scratch, which the next call overwrites
-    spectrum, halves, fundamental = _scratch(rows, n)
-    if not _grid_halves(live, scales, dc, n, spectrum, fundamental, *halves):
-        halves = halves[:1]
+    spectrum, fundamental, grid = _scratch(rows, n)
+    whole = _fill_grid(live, scales, dc, n, spectrum, fundamental, grid)
+    values = grid if whole else grid[:, : n // 2]
+    vmaxs, vmins = values.max(axis=1).tolist(), values.min(axis=1).tolist()
     if (1.0 / fc) / n <= _POLISH_SPACING or n < 2 * truncation:
-        return halves.max(axis=(0, 2)).tolist(), halves.min(axis=(0, 2)).tolist()
-    top_at, tops = _first_extreme(halves, np.argmax, operator.gt)
-    bottom_at, bottoms = _first_extreme(halves, np.argmin, operator.lt)
-    coeffs = _local_polynomials(live, [top_at, bottom_at], n, truncation)
-    vmaxs, vmins = [], []
+        return vmaxs, vmins
+    # the first occurrence on the whole period, as the second half's copy
+    # of a full-wave row comes later
+    indices = [values.argmax(axis=1).tolist(), values.argmin(axis=1).tolist()]
+    coeffs = _local_polynomials(live, indices, n, truncation)
     for r, scale in enumerate(np.asarray(scales, dtype=float).tolist()):
         top = _newton_extremum(coeffs[r], 1.0)
         bottom = _newton_extremum(coeffs[rows + r], -1.0)
-        vmaxs.append(max(tops[r], scale * (dc + top)))
-        vmins.append(min(bottoms[r], scale * (dc + bottom)))
+        vmaxs[r] = max(vmaxs[r], scale * (dc + top))
+        vmins[r] = min(vmins[r], scale * (dc + bottom))
     return vmaxs, vmins
 
 

@@ -1,7 +1,6 @@
 import cmath
 import dataclasses
 import math
-import operator
 import sys
 
 import numpy as np
@@ -28,7 +27,7 @@ from rectenna import (
     sampled_ripple,
     sweep_cutoff,
 )
-from rectenna.rcfilter import _first_extreme, grid_extrema, period_grid, taylor_table
+from rectenna.rcfilter import grid_extrema, period_grid, taylor_table
 
 FULL = RectifierKind.FULL_WAVE
 HALF = RectifierKind.HALF_WAVE
@@ -520,42 +519,6 @@ def test_grid_functions_take_a_block_of_no_rows():
 def test_taylor_table_refuses_bad_arguments(amplitudes, fc, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         taylor_table(amplitudes, fc)
-
-
-def whole_grid(halves):
-    """The grid rows whose half periods are ``halves`` (one half: two equal ones)."""
-    halves = np.asarray(halves, dtype=float)
-    return np.concatenate([halves[0], halves[-1]], axis=1)
-
-
-NAN = math.nan
-HAND_MADE_HALVES = {
-    "max-tie-across-halves": [[[1.0, 3.0, 2.0]], [[3.0, 0.0, 3.0]]],
-    "min-tie-across-halves": [[[0.0, 5.0, -2.0]], [[-2.0, 7.0, -2.0]]],
-    "ties-within-halves": [[[5.0, 5.0, 0.0]], [[5.0, -1.0, -1.0]]],
-    "later-half-better": [[[1.0, 2.0, 3.0]], [[4.0, 0.0, 4.0]]],
-    "signed-zero-tie": [[[0.0, -1.0]], [[-0.0, -1.0]]],
-    "nan-in-earlier-half": [[[1.0, NAN, 2.0]], [[NAN, 5.0, 0.0]]],
-    "nan-in-later-half-only": [[[1.0, 2.0, 3.0]], [[4.0, NAN, 0.0]]],
-    "one-half-for-two": [[[2.0, 1.0, 2.0]]],
-    "three-rows": [
-        [[1.0, 3.0], [0.0, 0.0], [2.0, -1.0]],
-        [[3.0, 1.0], [-0.0, 1.0], [2.0, -1.0]],
-    ],
-}
-
-
-@pytest.mark.parametrize("case", list(HAND_MADE_HALVES))
-@pytest.mark.parametrize(
-    "arg,better", [(np.argmax, operator.gt), (np.argmin, operator.lt)], ids=["max", "min"]
-)
-def test_extreme_of_two_halves_is_the_first_occurrence_on_the_whole_grid(case, arg, better):
-    halves = np.array(HAND_MADE_HALVES[case])
-    grid = whole_grid(halves)
-    indices, values = _first_extreme(halves, arg, better)
-    expected = arg(grid, axis=1)
-    assert indices == expected.tolist()
-    assert np.array(values).tobytes() == grid[np.arange(len(grid)), expected].tobytes()
 
 
 EIGHT_CAPS = [0.0, 1e-12, 1e-11, 3e-11, 1e-10, 1e-9, 0.0, 1e-8]
