@@ -8,6 +8,7 @@ picking the capacitance is a monotone scalar problem: find the smallest tau
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,14 @@ RIPPLE_METRICS = ("sampled_ptp", "analytic")
 
 DEFAULT_SAMPLES = 4096
 
-# cut-offs per filter matrix and inverse FFT in sweep_cutoff: a block shares
-# the fixed numpy cost per call, and each row takes ~50 KB of the period
-# grid's reused scratch arrays at 4096 samples
+# cut-offs per inverse FFT and extremum search: a block shares the fixed
+# numpy cost per call, and each row takes ~50 KB of the period grid's reused
+# scratch arrays at 4096 samples
 _SWEEP_BLOCK = 8
+# cut-offs per chunk of (rows, K) transfer and attenuation matrices in
+# sweep_cutoff, a multiple of _SWEEP_BLOCK: a 50-point sweep is one chunk,
+# and a chunk's matrices peak at ~0.5 MB at K = 256 however long the sweep
+_SWEEP_CHUNK = 64
 
 # capacitance solve on log tau.  The ripple depends on fc * tau alone and
 # starts to fall near a tenth of a carrier period, so the search starts one
@@ -110,7 +115,7 @@ def sampled_ripple(
     """Peak-to-peak of the filter output over one carrier period, sampled.
 
     Bitwise the :func:`period_extrema` spread of the output series, as one
-    row of a sweep block: no series object is built.
+    row of a sweep: no series object is built.
     """
     require_finite_positive("amplitude", amplitude)
     require_finite_positive("fc", fc)
@@ -123,12 +128,18 @@ def sampled_ripple(
 def _sampled_ripples(kind, resistance, xs, scales, fc, truncation, samples) -> list[float]:
     # the output at each x = fc tau, scaled by its entry of scales, as a
     # period grid of the live harmonics only (k = 1 and the even k): the
-    # rectifier's odd harmonics k >= 3 are exact zeros
+    # rectifier's odd harmonics k >= 3 are exact zeros.  The transfers and
+    # amplitudes are one matrix; the grid and its extrema go by blocks
     transfers = _transfers(resistance, _omega_tau(xs, _live_omegas(truncation)))
     amps = _live_coefficients(kind, truncation) * transfers
     dc = 0.5 * fourier_coefficient(kind, 0) * resistance
-    vmaxs, vmins = _grid_extrema(amps, scales, dc, fc, samples, truncation)
-    return [vmax - vmin for vmax, vmin in zip(vmaxs, vmins)]
+    ripples = []
+    for start in range(0, len(amps), _SWEEP_BLOCK):
+        stop = start + _SWEEP_BLOCK
+        block = amps[start:stop], scales[start:stop]
+        vmaxs, vmins = _grid_extrema(*block, dc, fc, samples, truncation)
+        ripples += map(operator.sub, vmaxs, vmins)
+    return ripples
 
 
 def analytic_ripple(
@@ -177,47 +188,60 @@ def sweep_cutoff(
 ) -> list[SweepRow]:
     """Tabulate DC voltage and ripple on a cut-off frequency grid.
 
-    Each row is bitwise what :func:`dc_voltage`, :func:`analytic_ripple` and
-    :func:`sampled_ripple` give at its cut-off, but the grid is evaluated in
-    blocks of cut-offs: one filter matrix and one inverse FFT per block.
+    Each row is bitwise what :meth:`RcFilter.from_cutoff`,
+    :func:`dc_voltage`, :func:`analytic_ripple` and :func:`sampled_ripple`
+    give at its cut-off.  Every per-cut-off quantity is a column formed in
+    one vectorized pass, in its scalar twin's operation order, with the
+    ``(rows, K)`` matrices formed a chunk of cut-offs at a time; only the
+    period grid's inverse FFT and extrema run per block of cut-offs.
+    Refuses what :meth:`RcFilter.from_cutoff` refuses, with its message,
+    and a table with a value that is not finite (``ValueError``).
     """
     require_finite_positive("amplitude", amplitude)
     require_finite_positive("fc", fc)
     require_finite_positive("cutoff_min", cutoff_min)
     require_finite_positive("cutoff_max", cutoff_max)
-    cutoffs = make_grid(cutoff_min, cutoff_max, n_points, spacing).tolist()
-    filters = [RcFilter.from_cutoff(resistance, cutoff) for cutoff in cutoffs]
-    rows = []
-    for start in range(0, len(cutoffs), _SWEEP_BLOCK):
-        block = slice(start, start + _SWEEP_BLOCK)
-        rows += _sweep_block(
-            kind, cutoffs[block], filters[block], amplitude, fc, truncation, samples
-        )
-    return rows
+    cutoffs = make_grid(cutoff_min, cutoff_max, n_points, spacing)
+    require_finite_positive("resistance", resistance)
+    # 2 pi f_cut R may overflow (C = 0) or underflow, and the outputs may
+    # overflow: the warnings are dropped, and the columns checked instead
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        table = _sweep_table(kind, resistance, amplitude, fc, cutoffs, truncation, samples)
+    if not np.isfinite(table).all():
+        raise ValueError("result is not finite; an input is out of range")
+    return list(map(SweepRow, *table.tolist()))
 
 
-def _sweep_block(kind, cutoffs, filters, amplitude, fc, truncation, samples) -> list[SweepRow]:
-    resistance = filters[0].resistance
-    xs = [fc * filt.tau for filt in filters]
-    scales = [_amplification(resistance, x) * amplitude for x in xs]
-    peaks = aligned_peaks(kind, scales, resistance, _attenuation(xs, truncation)).tolist()
-    ripples = _sampled_ripples(kind, resistance, xs, scales, fc, truncation, samples)
-    a0 = fourier_coefficient(kind, 0)
-    rows = []
-    for cutoff, filt, scale, peak, ripple in zip(cutoffs, filters, scales, peaks, ripples):
-        # dc_voltage's product in its order, as scale is delta * amplitude
-        v_dc = scale * resistance * a0 / 2.0
-        rows.append(
-            SweepRow(
-                cutoff=cutoff,
-                tau=filt.tau,
-                capacitance=filt.capacitance,
-                v_dc=v_dc,
-                ripple_analytic=peak - v_dc,
-                ripple_sampled=ripple,
-            )
+def _sweep_table(kind, resistance, amplitude, fc, cutoffs, truncation, samples) -> np.ndarray:
+    # the SweepRow fields as the rows of one (6, points) array.  Each column
+    # repeats its scalar twin's operations in order (from_cutoff, tau,
+    # _amplification, dc_voltage), so each entry is bitwise the per-point
+    # one.  A function of its own, so that its columns are freed before the
+    # caller builds the rows
+    denominators = 2.0 * math.pi * cutoffs * resistance
+    capacitances = 1.0 / denominators
+    # from_cutoff's refusals, with its messages, for the first cut-off with
+    # one: 2 pi f_cut R underflows to 0, or to a subnormal whose inverse is inf
+    infinite = capacitances == math.inf
+    if infinite.any():
+        i = int(infinite.argmax())
+        if denominators[i] == 0.0:
+            raise ValueError(f"cutoff {cutoffs[i]} with resistance {resistance} underflows")
+        require_finite_positive("capacitance", float(capacitances[i]), allow_zero=True)
+    taus = resistance * capacitances
+    xs = fc * taus
+    w = 2.0 * math.pi * xs
+    scales = np.sqrt(resistance / (1.0 + w * w)) * amplitude
+    v_dcs = scales * resistance * fourier_coefficient(kind, 0) / 2.0
+    peaks, ripples = np.empty_like(xs), np.empty_like(xs)
+    for start in range(0, len(xs), _SWEEP_CHUNK):
+        chunk = slice(start, start + _SWEEP_CHUNK)
+        atten = _attenuation(xs[chunk], truncation)
+        peaks[chunk] = aligned_peaks(kind, scales[chunk], resistance, atten)
+        ripples[chunk] = _sampled_ripples(
+            kind, resistance, xs[chunk], scales[chunk], fc, truncation, samples
         )
-    return rows
+    return np.array((cutoffs, taus, capacitances, v_dcs, peaks - v_dcs, ripples))
 
 
 def optimize_capacitance(
@@ -267,7 +291,12 @@ def optimize_capacitance(
             feasible=ripple <= ripple_budget * (1.0 + 1e-6),
         )
 
-    unfiltered = metric(0.0)
+    # the unfiltered ripple is the largest the solve evaluates: where it
+    # overflows the solve would chase nan, so it is refused instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        unfiltered = metric(0.0)
+    if not math.isfinite(unfiltered):
+        raise ValueError("result is not finite; an input is out of range")
     if unfiltered <= ripple_budget:
         return result(0.0, unfiltered)
 

@@ -19,10 +19,11 @@ k; :func:`_live`): the even ones fold into an ``(m, n/4 + 1)`` one-sided
 spectrum, one real inverse FFT of length n/2 along its rows gives them on
 half the grid, and the c_1 cosine is then added on one half period and
 subtracted on the other, a row at a time.  The design layer's sweep
-blocks and its one-row ripple metric form their transfers at the live k
-only, from a live ``2 pi k`` row and a live coefficient row cached per K
-and per (kind, K); they skip the public functions' argument checks and
-build no series object.  :func:`period_samples` and
+and its one-row ripple metric form their transfers at the live k only, as
+one matrix per chunk of cut-offs, from a live ``2 pi k`` row and a live
+coefficient row cached per K and per (kind, K), and run the grid on blocks
+of its rows; they skip the public functions' argument checks and build no
+series object.  :func:`period_samples` and
 :func:`period_extrema` are the one-row case.  Where that grid is coarser
 than 1e-12 s, :func:`grid_extrema` Newton-polishes both its extrema on the
 exact trig polynomial, with one stacked product for the Taylor

@@ -227,6 +227,8 @@ def test_fcut_zero_and_inf_both_mean_no_capacitor(capsys):
         ["multisine-a0", "--df=nan"],
         ["multisine-a0", "--df", "1.2e9"],  # df > fc, where the closed form fails
         ["trace", "--fc=1.7e308", "--fcut", "0"],  # finite input, overflowing output
+        ["sweep", "--rl", "1e300", "--fcut", "1e8:1e9:4:log"],  # v_dc inf, ripples nan
+        ["design", "--rl", "1e300", "--budget", "0.1"],  # unfiltered ripple nan
         ["coeffs", "--k-max", "-1"],
         ["validate", "--k-max", "-1"],  # exited 2 with "max() arg is an empty sequence"
     ],

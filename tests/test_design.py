@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +147,10 @@ def sweep_array(rows):
 @example(kind=HALF, samples=254, truncation_ratio=2.5, refined=False, carrier_offset=0.5,
          resistance=2.0, amplitude=1.0, start_ratio=0.1, decades=3.0, n_points=17,
          spacing="log")
+# two chunks of (rows, K) matrices, then a partial block of cut-offs
+@example(kind=FULL, samples=254, truncation_ratio=1.0, refined=True, carrier_offset=0.5,
+         resistance=2.0, amplitude=1.0, start_ratio=0.1, decades=3.0,
+         n_points=2 * rectenna.design._SWEEP_CHUNK + 5, spacing="linear")
 def test_blocked_sweep_is_bitwise_the_per_point_metrics(
     kind, samples, truncation_ratio, refined, carrier_offset, resistance, amplitude,
     start_ratio, decades, n_points, spacing,
@@ -229,9 +235,11 @@ def test_concurrent_sweeps_match_the_single_thread_rows():
     assert mismatches == []
 
 
+@pytest.mark.filterwarnings("error")
 def test_blocked_sweep_takes_exact_zero_tau_rows():
     # 2 pi f_cut R overflows for the top five cut-offs, so from_cutoff gives
-    # C = 0 there: the first block of eight mixes tau > 0 and tau = 0 rows
+    # C = 0 there: the first block of eight mixes tau > 0 and tau = 0 rows,
+    # and the overflow is no warning, as the result is finite
     lo, hi = 1e306, 1.7e308
     rows = sweep_cutoff(FULL, RL, 1.0, FC, lo, hi, 11, "log", 64, 256)
     assert [r.tau > 0.0 for r in rows] == [True] * 6 + [False] * 5
@@ -239,6 +247,47 @@ def test_blocked_sweep_takes_exact_zero_tau_rows():
     expected = per_point_rows(FULL, RL, 1.0, FC, cutoffs, 64, 256)
     assert sweep_array(rows).tobytes() == expected.tobytes()
     assert rows[-1].v_dc == dc_limits(FULL, RL, 1.0)[1]
+
+
+@pytest.mark.parametrize(
+    "lo,hi,message",
+    [
+        (1e-30, 1e-25, "cutoff 1e-30 with resistance 1e-300 underflows"),
+        (1e-20, 1e-10, "capacitance must be finite and >= 0, got inf"),
+    ],
+)
+def test_sweep_refuses_what_from_cutoff_refuses(lo, hi, message):
+    # 2 pi f_cut R underflows to 0, or to a subnormal whose inverse is inf;
+    # the sweep forms no filter object, but gives from_cutoff's message
+    for call in (
+        lambda: sweep_cutoff(FULL, 1e-300, 1.0, FC, lo, hi, 4, "log"),
+        lambda: RcFilter.from_cutoff(1e-300, lo),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_refuses_an_overflowing_table():
+    # at R = 1e300 the DC level overflows to inf and the ripples to nan
+    with pytest.raises(ValueError, match="^result is not finite; an input is out of range$"):
+        sweep_cutoff(FULL, 1e300, 1.0, FC, 1e8, 1e9, 4, "log")
+
+
+def test_long_sweep_forms_its_matrices_a_chunk_at_a_time():
+    # a (10000, 256) attenuation matrix alone would take 20 MB.  Measured
+    # with Python 3.11, the 10,000 rows hold 2.7 MB and the sweep peaks
+    # 1.0 MB above them; the bound leaves 1 MB of slack
+    args = (FULL, RL, 1.0, FC, 1e6, 1e12)
+    sweep_cutoff(*args, 16, "log")  # fills the caches and scratch arrays
+    tracemalloc.start()
+    try:
+        rows = sweep_cutoff(*args, 10_000, "log")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 10_000
+    assert peak - retained < 2 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -305,6 +354,14 @@ def test_optimize_monotone_frontier():
     assert v[0] <= v[1] <= v[2]
     taus = [r.tau for r in results]
     assert taus[0] >= taus[1] >= taus[2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("metric", rectenna.design.RIPPLE_METRICS)
+def test_optimize_refuses_an_overflowing_unfiltered_ripple(metric):
+    # the solve would otherwise chase a nan ripple to a meaningless C
+    with pytest.raises(ValueError, match="^result is not finite; an input is out of range$"):
+        optimize_capacitance(FULL, 1e300, 1.0, FC, 0.1, metric)
 
 
 def test_optimize_rejects_bad_arguments():
@@ -549,8 +606,8 @@ TIME_INPUTS = ("t", "t_grid")
 # keyword, a good value of each, and those whose 0 another test pins as valid
 ENTRY_POINTS = {
     "sweep_cutoff": (
-        lambda **kw: sweep_cutoff(FULL, RL, cutoff_min=1e8, cutoff_max=1e9, n_points=4, **kw),
-        SOURCE, (),
+        lambda **kw: sweep_cutoff(FULL, n_points=4, **kw),
+        {"resistance": RL, **SOURCE, "cutoff_min": 1e8, "cutoff_max": 1e9}, (),
     ),
     "optimize_capacitance": (
         lambda **kw: optimize_capacitance(FULL, RL, ripple_budget=0.1, **kw), SOURCE, ()
