@@ -269,7 +269,9 @@ def _validation_checks(fc: float, k_max: int):
     fs0 = filtered_series(base, filt0)
     ts = np.arange(1000) * (1.0 / fc / 1000)
     ierr = float(np.max(np.abs(eval_filtered(fs0, ts) - filt0.resistance * eval_series(base, ts))))
-    # each series caches its Taylor table; free them before the K = 1024 one
+    # each series caches its Taylor table: free them before the K = 1024 one.
+    # series_tail_bound takes base over, with its K = 256 table, and drops it
+    reused = {256: base}
     del fs, base, fs0
     yield "unfiltered_identity", ierr < 1e-12, f"max|diff|={ierr:.3e}"
 
@@ -297,7 +299,10 @@ def _validation_checks(fc: float, k_max: int):
     ok = True
     detail = []
     for trunc in (64, 256, 1024):
-        series = build_series(full, trunc, scale=1.0, fc=fc)
+        if trunc in reused:
+            series = reused.pop(trunc)
+        else:
+            series = build_series(full, trunc, scale=1.0, fc=fc)
         sup = float(
             np.max(np.abs(eval_series(series, ts) - np.abs(np.cos(2 * np.pi * fc * ts))))
         )

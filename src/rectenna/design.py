@@ -17,6 +17,7 @@ from .rcfilter import (
     RcFilter,
     _amplification,
     _attenuation,
+    _check_output_bound,
     _grid_extrema,
     _live_coefficients,
     _live_omegas,
@@ -115,12 +116,14 @@ def sampled_ripple(
     """Peak-to-peak of the filter output over one carrier period, sampled.
 
     Bitwise the :func:`period_extrema` spread of the output series, as one
-    row of a sweep: no series object is built.
+    row of a sweep: no series object is built.  Refuses an output that may
+    overflow (``ValueError``).
     """
     require_finite_positive("amplitude", amplitude)
     require_finite_positive("fc", fc)
     x = fc * filt.tau
     scale = _amplification(filt.resistance, x) * amplitude
+    _check_output_bound(kind, scale, filt.resistance, truncation)
     (ripple,) = _sampled_ripples(kind, filt.resistance, [x], (scale,), fc, truncation, samples)
     return ripple
 
@@ -149,7 +152,11 @@ def analytic_ripple(
     fc: float,
     truncation: int = DEFAULT_TRUNCATION,
 ) -> float:
-    """Aligned-phase peak approximation minus the DC level."""
+    """Aligned-phase peak approximation minus the DC level.
+
+    Refuses an output that overflows (``ValueError``), as :func:`ripple_peak`
+    and :func:`dc_voltage` do.
+    """
     return ripple_peak(kind, filt, amplitude, fc, truncation) - dc_voltage(
         kind, filt, amplitude, fc
     )
@@ -291,12 +298,10 @@ def optimize_capacitance(
             feasible=ripple <= ripple_budget * (1.0 + 1e-6),
         )
 
-    # the unfiltered ripple is the largest the solve evaluates: where it
-    # overflows the solve would chase nan, so it is refused instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        unfiltered = metric(0.0)
-    if not math.isfinite(unfiltered):
-        raise ValueError("result is not finite; an input is out of range")
+    # the unfiltered ripple is the largest the solve evaluates, and the
+    # metric refuses it where the output may overflow: a larger tau only
+    # shrinks the input scale, so no later evaluation overflows
+    unfiltered = metric(0.0)
     if unfiltered <= ripple_budget:
         return result(0.0, unfiltered)
 

@@ -82,9 +82,10 @@ _POLISH_SPACING = 1e-12
 # Taylor tail a local polynomial or table drops, relative to sum_k |c_k|
 _TAYLOR_TAIL = 1e-17
 # grid samples per block of Taylor table rows built by one inverse FFT: a
-# block's work arrays hold ~50-70 KB whatever the table's size, so a K = 1024
-# table peaks at ~1.2x its own 590 KB while built, against ~1.7x with 1 << 15
-_TABLE_BLOCK_CELLS = 1 << 13
+# K = 256 table's 18 rows of 1024 take two blocks (three with 1 << 13), and
+# a K = 1024 table peaks at ~1.4x its own 590 KB while built (its cached
+# factors apart), against ~1.7x with 1 << 15
+_TABLE_BLOCK_CELLS = 1 << 14
 # Newton on the local polynomial: step cap, and the step (in grid steps)
 # below which the next one would move the value by less than roundoff
 _NEWTON_STEPS = 8
@@ -404,8 +405,10 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
     K fc`` is not a finite float: the top harmonic of a carrier ``fc`` has
     no angular frequency there.
 
-    Blocks of rows share one set of FFT work arrays, so a large table costs
-    little more than its own size while built.
+    The factors ``(j k h)^p / p!`` at the live k are one matrix cached per
+    K (:func:`_table_factors`), so a block of rows takes one product with
+    the live amplitudes and one inverse FFT.  Blocks share one set of work
+    arrays, so a K = 1024 table peaks at ~1.4x its own size while built.
     """
     if np.ndim(amplitudes) != 1 or amplitudes.shape[0] < 1:
         raise ValueError("amplitudes must be a 1-D row of K >= 1 harmonics")
@@ -416,32 +419,43 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
     if not math.isfinite(2.0 * math.pi * truncation * fc):
         raise ValueError("result is not finite; an input is out of range")
     _check_odd_harmonics(amplitudes)
-    n = 1 << (4 * truncation - 1).bit_length()
-    h = 2.0 * np.pi / n
-    degree = _taylor_degree(0.5 * truncation * h)
-    # row p of the amplitudes is c_k j^p (k h)^p / p!: a running product
-    # gives the real (k h)^p / p!, and multiplying by j^p is exact
+    n, factors = _table_factors(truncation)
     live = _live(amplitudes)
-    kh = h * _live_harmonics(truncation)
-    magnitude = np.ones(live.shape[0])
-    table = np.empty((degree + 1, n))
-    block = min(degree + 1, max(1, _TABLE_BLOCK_CELLS // n))
+    table = np.empty((factors.shape[0], n))
+    block = min(factors.shape[0], max(1, _TABLE_BLOCK_CELLS // n))
     spectrum, fundamental = _work_arrays(block, n)
     rows = np.empty((block, live.shape[0]), dtype=complex)
     ones = np.ones(block)
-    for start in range(0, degree + 1, block):
-        stop = min(start + block, degree + 1)
-        for p in range(start, stop):
-            if p:
-                magnitude *= kh
-                magnitude /= p
-            np.multiply(live, (1.0, 1j, -1.0, -1j)[p % 4] * magnitude, out=rows[p - start])
-        m = stop - start
-        block_rows = table[start:stop]
+    for start in range(0, factors.shape[0], block):
+        block_rows = table[start : start + block]
+        m = block_rows.shape[0]
+        np.multiply(live, factors[start : start + m], out=rows[:m])
         if not _fill_grid(rows[:m], ones[:m], 0.0, n, spectrum[:m], fundamental, block_rows):
             block_rows[:, n // 2 :] = block_rows[:, : n // 2]
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=8)
+def _table_factors(truncation: int) -> tuple[int, np.ndarray]:
+    """n and the ``(D + 1, 1 + K/2)`` factors ``(j k h)^p / p!`` of
+    :func:`taylor_table` at the live k (:func:`_live`), read-only.
+
+    A running product gives the real ``(k h)^p / p!`` a row at a time, and
+    multiplying it by ``j^p`` is exact.
+    """
+    n = 1 << (4 * truncation - 1).bit_length()
+    h = 2.0 * np.pi / n
+    kh = h * _live_harmonics(truncation)
+    magnitude = np.ones(kh.shape[0])
+    factors = np.empty((_taylor_degree(0.5 * truncation * h) + 1, kh.shape[0]), dtype=complex)
+    for p, row in enumerate(factors):
+        if p:
+            magnitude *= kh
+            magnitude /= p
+        np.multiply((1.0, 1j, -1.0, -1j)[p % 4], magnitude, out=row)
+    factors.setflags(write=False)
+    return n, factors
 
 
 @lru_cache(maxsize=8)
@@ -636,11 +650,38 @@ def period_extrema(fs: FilteredSeries, n: int) -> tuple[float, float]:
 
 
 def dc_voltage(kind: RectifierKind, filt: RcFilter, amplitude: float, fc: float) -> float:
-    """Time-averaged filter output ``delta * A * R * a0 / 2``."""
+    """Time-averaged filter output ``delta * A * R * a0 / 2``.
+
+    Refuses a result that overflows (``ValueError``).
+    """
     require_finite_positive("amplitude", amplitude)
     require_finite_positive("fc", fc)
     delta = _amplification(filt.resistance, fc * filt.tau)
-    return delta * amplitude * filt.resistance * fourier_coefficient(kind, 0) / 2.0
+    return _finite(delta * amplitude * filt.resistance * fourier_coefficient(kind, 0) / 2.0)
+
+
+def _finite(value: float) -> float:
+    """``value``, refused (``ValueError``) where it overflowed."""
+    if not math.isfinite(value):
+        raise ValueError("result is not finite; an input is out of range")
+    return value
+
+
+@lru_cache(maxsize=16)
+def _magnitude_sum(kind: RectifierKind, truncation: int) -> float:
+    """``a0/2 + sum_k |a_k|``, k = 1..K, as a Python float."""
+    return 0.5 * fourier_coefficient(kind, 0) + float(np.abs(coefficients(kind, truncation)).sum())
+
+
+def _check_output_bound(
+    kind: RectifierKind, scale: float, resistance: float, truncation: int
+) -> None:
+    """Refuse (``ValueError``) an output that may overflow, before any numpy
+    work: every output value lies within ``scale R (a0/2 + sum_k |a_k|)`` of
+    zero, and where that bound is finite no numpy step overflows.  Checked
+    in Python floats, so no warning is raised and no ``np.errstate`` entered.
+    """
+    _finite(scale * resistance * _magnitude_sum(kind, truncation))
 
 
 def ripple_peak(
@@ -658,11 +699,14 @@ def ripple_peak(
     approximation, not a bound: it sums the signed ``a_k``, and at fc = 915
     MHz, R = 2 ohm, K = 256 it read below the sampled peak at every cut-off
     checked (minus DC, 0.00655 V against 0.00701 V at a 1e8 Hz cut-off).
+    Refuses an output that may overflow (``ValueError``): at R = 1e300,
+    C = 0 it would read inf.
     """
     require_finite_positive("amplitude", amplitude, allow_zero=True)
     require_finite_positive("fc", fc)
     x = fc * filt.tau
     scale = _amplification(filt.resistance, x) * amplitude
+    _check_output_bound(kind, scale, filt.resistance, truncation)
     return float(aligned_peaks(kind, (scale,), filt.resistance, _attenuation([x], truncation))[0])
 
 

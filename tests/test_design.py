@@ -274,6 +274,18 @@ def test_sweep_refuses_an_overflowing_table():
         sweep_cutoff(FULL, 1e300, 1.0, FC, 1e8, 1e9, 4, "log")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [FULL, HALF])
+@pytest.mark.parametrize(
+    "function", [dc_voltage, ripple_peak, analytic_ripple, sampled_ripple], ids=lambda f: f.__name__
+)
+def test_per_point_functions_refuse_an_overflowing_output(function, kind):
+    # at R = 1e300, C = 0 the input peak is sqrt(R) and the output ~R^1.5:
+    # refused before any numpy work, not returned as inf or nan after a warning
+    with pytest.raises(ValueError, match="^result is not finite; an input is out of range$"):
+        function(kind, RcFilter(1e300, 0.0), 1.0, FC)
+
+
 def test_long_sweep_forms_its_matrices_a_chunk_at_a_time():
     # a (10000, 256) attenuation matrix alone would take 20 MB.  Measured
     # with Python 3.11, the 10,000 rows hold 2.7 MB and the sweep peaks

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from rectenna import (
     sampled_ripple,
     sweep_cutoff,
 )
+from rectenna import rcfilter
 from rectenna.rcfilter import grid_extrema, period_grid, taylor_table
 
 FULL = RectifierKind.FULL_WAVE
@@ -751,6 +753,56 @@ def test_taylor_table_degree_keeps_the_tail_below_1e_17(truncation):
     x = truncation * math.pi / n
     assert taylor_tail(x, rows - 1) <= 1e-17 < taylor_tail(x, rows - 2)
     assert not table.flags.writeable
+
+
+def derivative_amplitudes(amplitudes, n, rows):
+    """``c_k (j k h)^p / p!`` for p < rows and ``h = 2 pi / n``, one row per
+    p: a running product of the real ``(k h)^p / p!``, times ``j^p``."""
+    kh = (2.0 * np.pi / n) * np.arange(1, amplitudes.shape[0] + 1)
+    magnitude = np.ones(amplitudes.shape[0])
+    out = np.empty((rows, amplitudes.shape[0]), dtype=complex)
+    for p in range(rows):
+        if p:
+            magnitude = magnitude * kh / p
+        out[p] = amplitudes * ((1.0, 1j, -1.0, -1j)[p % 4] * magnitude)
+    return out
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", [FULL, HALF])
+@pytest.mark.parametrize("truncation", [1, 2, 64, 256, 1024])
+def test_taylor_table_rows_are_period_grids_of_derivative_amplitudes(
+    truncation, kind, filtered, monkeypatch
+):
+    # row p is bitwise the period grid of c_k (j k h)^p / p!, whichever
+    # blocks of rows the table is built in: one row, or the whole table
+    amplitudes = coefficients(kind, truncation)
+    if filtered:
+        filt = RcFilter.from_cutoff(2.0, 1e9)
+        amplitudes = output_series(kind, filt, 1.0, FC, truncation).amplitudes
+    table = taylor_table(amplitudes, FC)
+    rows, n = table.shape
+    want = period_grid(derivative_amplitudes(amplitudes, n, rows), np.ones(rows), 0.0, n)
+    assert table.tobytes() == want.tobytes()
+    for cells in (1, 2**40):
+        monkeypatch.setattr(rcfilter, "_TABLE_BLOCK_CELLS", cells)
+        assert taylor_table(amplitudes, FC).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("truncation", [1024, 2000])
+def test_taylor_table_peaks_near_its_own_size_while_built(truncation):
+    # the rows are formed and transformed a block at a time.  Measured with
+    # numpy 2.4, a K = 1024 table peaks at 1.38x its own size and K = 2000 at
+    # 1.21x (1.71x and 1.37x with blocks twice as large)
+    amplitudes = coefficients(HALF, truncation)
+    taylor_table(amplitudes, FC)  # caches the factors, which outlive the build
+    tracemalloc.start()
+    try:
+        table = taylor_table(amplitudes, FC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * table.nbytes
 
 
 def time_one_ulp_below(periods, fc):
