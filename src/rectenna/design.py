@@ -15,15 +15,14 @@ import numpy as np
 
 from .rcfilter import (
     RcFilter,
+    _aligned_peaks,
     _amplification,
-    _attenuation,
     _check_output_bound,
     _grid_extrema,
     _live_coefficients,
     _live_omegas,
     _omega_tau,
     _transfers,
-    aligned_peaks,
     dc_voltage,
     eval_filtered,
     filtered_series,
@@ -60,9 +59,9 @@ DEFAULT_SAMPLES = 4096
 # numpy cost per call, and each row takes ~50 KB of the period grid's reused
 # scratch arrays at 4096 samples
 _SWEEP_BLOCK = 8
-# cut-offs per chunk of (rows, K) transfer and attenuation matrices in
-# sweep_cutoff, a multiple of _SWEEP_BLOCK: a 50-point sweep is one chunk,
-# and a chunk's matrices peak at ~0.5 MB at K = 256 however long the sweep
+# cut-offs per chunk of (rows, 1 + K/2) transfer and aligned-peak matrices
+# in sweep_cutoff, a multiple of _SWEEP_BLOCK: a 50-point sweep is one chunk,
+# and a chunk's matrices peak at ~0.4 MB at K = 256 however long the sweep
 _SWEEP_CHUNK = 64
 
 # capacitance solve on log tau.  The ripple depends on fc * tau alone and
@@ -199,8 +198,9 @@ def sweep_cutoff(
     :func:`dc_voltage`, :func:`analytic_ripple` and :func:`sampled_ripple`
     give at its cut-off.  Every per-cut-off quantity is a column formed in
     one vectorized pass, in its scalar twin's operation order, with the
-    ``(rows, K)`` matrices formed a chunk of cut-offs at a time; only the
-    period grid's inverse FFT and extrema run per block of cut-offs.
+    ``(rows, 1 + K/2)`` matrices of the live harmonics formed a chunk of
+    cut-offs at a time; only the period grid's inverse FFT and extrema run
+    per block of cut-offs.
     Refuses what :meth:`RcFilter.from_cutoff` refuses, with its message,
     and a table with a value that is not finite (``ValueError``).
     """
@@ -243,8 +243,7 @@ def _sweep_table(kind, resistance, amplitude, fc, cutoffs, truncation, samples) 
     peaks, ripples = np.empty_like(xs), np.empty_like(xs)
     for start in range(0, len(xs), _SWEEP_CHUNK):
         chunk = slice(start, start + _SWEEP_CHUNK)
-        atten = _attenuation(xs[chunk], truncation)
-        peaks[chunk] = aligned_peaks(kind, scales[chunk], resistance, atten)
+        peaks[chunk] = _aligned_peaks(kind, scales[chunk], resistance, xs[chunk], truncation)
         ripples[chunk] = _sampled_ripples(
             kind, resistance, xs[chunk], scales[chunk], fc, truncation, samples
         )

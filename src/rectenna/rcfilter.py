@@ -23,19 +23,21 @@ and its one-row ripple metric form their transfers at the live k only, as
 one matrix per chunk of cut-offs, from a live ``2 pi k`` row and a live
 coefficient row cached per K and per (kind, K), and run the grid on blocks
 of its rows; they skip the public functions' argument checks and build no
-series object.  :func:`period_samples` and
-:func:`period_extrema` are the one-row case.  Where that grid is coarser
-than 1e-12 s, :func:`grid_extrema` Newton-polishes both its extrema on the
-exact trig polynomial, with one stacked product for the Taylor
-coefficients of every row's argmax and argmin; finer grids keep their grid
-extrema.  Its grid lives in a per-thread scratch array that later calls
-reuse; where c_1 is zero (the full wave) only the first half period is
-written and read.
+series object.  The aligned-phase peaks (:func:`ripple_peak`) sum the live
+k too.  :func:`period_samples` and :func:`period_extrema` are the one-row
+case.  Where that grid is coarser than 1e-12 s, :func:`grid_extrema`
+Newton-polishes both its extrema on the exact trig polynomial, with one
+stacked product for the Taylor coefficients of every row's argmax and
+argmin; finer grids keep their grid extrema.  Its grid lives in a
+per-thread scratch array that later calls reuse; where c_1 is zero (the
+full wave) only the first half period is written and read.
 :func:`eval_filtered` serves arbitrary times from a Taylor table
 (:func:`taylor_table`): one period grid whose D + 1 rows are the series'
 first D + 1 Taylor coefficients at every grid phase, built once per series.
 A time is then a table lookup at the nearest grid phase and a degree-D
-polynomial in the offset from it.
+polynomial in the offset from it.  The table and the polish read one
+builder of Taylor factors ``(j k h)^p / p!`` at the live k
+(:func:`_live_factors`), cached per (K, n, reach).
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ __all__ = [
     "period_samples",
     "period_extrema",
     "dc_voltage",
-    "aligned_peaks",
     "ripple_peak",
     "max_ripple",
     "dc_limits",
@@ -156,7 +157,8 @@ def _omega_tau(xs, omegas: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _harmonic_omegas(truncation: int) -> np.ndarray:
-    """``2 pi k`` for k = 1..K, read-only: one row for every carrier and tau."""
+    """``2 pi k`` for k = 1..K, read-only: the all-K row of
+    :attr:`FilteredSeries.transfers`, for every carrier and tau."""
     omegas = 2.0 * np.pi * np.arange(1, truncation + 1, dtype=float)
     omegas.setflags(write=False)
     return omegas
@@ -165,7 +167,7 @@ def _harmonic_omegas(truncation: int) -> np.ndarray:
 def _live(values: np.ndarray) -> np.ndarray:
     """The live columns of a last axis that runs over k = 1..K: k = 1, then
     the even k.  The rectifier's odd harmonics k >= 3 are exact zeros, so
-    the period grid reads only these 1 + K // 2 columns."""
+    the engine reads only these 1 + K // 2 columns."""
     return np.concatenate((values[..., :1], values[..., 1::2]), axis=-1)
 
 
@@ -179,8 +181,8 @@ def _live_harmonics(truncation: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _live_omegas(truncation: int) -> np.ndarray:
-    """:func:`_harmonic_omegas` at the live k, read-only."""
-    omegas = _live(_harmonic_omegas(truncation))
+    """``2 pi k`` at the live k, read-only: :func:`_harmonic_omegas`' entries."""
+    omegas = 2.0 * np.pi * _live_harmonics(truncation)
     omegas.setflags(write=False)
     return omegas
 
@@ -406,9 +408,11 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
     no angular frequency there.
 
     The factors ``(j k h)^p / p!`` at the live k are one matrix cached per
-    K (:func:`_table_factors`), so a block of rows takes one product with
-    the live amplitudes and one inverse FFT.  Blocks share one set of work
-    arrays, so a K = 1024 table peaks at ~1.4x its own size while built.
+    K (:func:`_live_factors` at reach 1/2, which the polish of
+    :func:`grid_extrema` reads at reach 1), so a block of rows takes one
+    product with the live amplitudes and one inverse FFT.  Blocks share one
+    set of work arrays, so a K = 1024 table peaks at ~1.4x its own size
+    while built.
     """
     if np.ndim(amplitudes) != 1 or amplitudes.shape[0] < 1:
         raise ValueError("amplitudes must be a 1-D row of K >= 1 harmonics")
@@ -419,7 +423,8 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
     if not math.isfinite(2.0 * math.pi * truncation * fc):
         raise ValueError("result is not finite; an input is out of range")
     _check_odd_harmonics(amplitudes)
-    n, factors = _table_factors(truncation)
+    n = 1 << (4 * truncation - 1).bit_length()
+    factors = _live_factors(truncation, n, 0.5)
     live = _live(amplitudes)
     table = np.empty((factors.shape[0], n))
     block = min(factors.shape[0], max(1, _TABLE_BLOCK_CELLS // n))
@@ -434,28 +439,6 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
             block_rows[:, n // 2 :] = block_rows[:, : n // 2]
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=8)
-def _table_factors(truncation: int) -> tuple[int, np.ndarray]:
-    """n and the ``(D + 1, 1 + K/2)`` factors ``(j k h)^p / p!`` of
-    :func:`taylor_table` at the live k (:func:`_live`), read-only.
-
-    A running product gives the real ``(k h)^p / p!`` a row at a time, and
-    multiplying it by ``j^p`` is exact.
-    """
-    n = 1 << (4 * truncation - 1).bit_length()
-    h = 2.0 * np.pi / n
-    kh = h * _live_harmonics(truncation)
-    magnitude = np.ones(kh.shape[0])
-    factors = np.empty((_taylor_degree(0.5 * truncation * h) + 1, kh.shape[0]), dtype=complex)
-    for p, row in enumerate(factors):
-        if p:
-            magnitude *= kh
-            magnitude /= p
-        np.multiply((1.0, 1j, -1.0, -1j)[p % 4], magnitude, out=row)
-    factors.setflags(write=False)
-    return n, factors
 
 
 @lru_cache(maxsize=8)
@@ -500,47 +483,48 @@ def _taylor_degree(x: float) -> int:
 
 
 @lru_cache(maxsize=8)
-def _taylor_table(truncation: int, n: int) -> np.ndarray:
-    """Real ``(2K, D + 1)`` Taylor matrix W, read-only, for ``h = 2 pi / n``.
+def _live_factors(truncation: int, n: int, reach: float) -> np.ndarray:
+    """The ``(D + 1, 1 + K/2)`` Taylor factors ``(j k h)^p / p!`` at the live
+    k (:func:`_live`), ``h = 2 pi / n``, read-only.  D is :func:`_taylor_degree`
+    for offsets ``|u| <= reach`` grid steps: 1/2 for :func:`taylor_table`,
+    1 for :func:`_local_polynomials`.
 
-    For complex ``b_1 .. b_K``, ``(b.view(float) @ W)[p]`` is
-    ``Re sum_k b_k (j k h)^p / p!``: rows 2(k-1) and 2(k-1) + 1 hold the
-    real part and the negated imaginary part of ``(j k h)^p / p!``.  D is
-    :func:`_taylor_degree` for |u| <= 1.
+    A running product gives the real ``(k h)^p / p!`` a row at a time, and
+    multiplying it by ``j^p`` is exact.
     """
     h = 2.0 * np.pi / n
-    degree = _taylor_degree(truncation * h)
-    kh = h * np.arange(1, truncation + 1)
-    powers = np.empty((truncation, degree + 1), dtype=complex)
-    powers[:, 0] = 1.0
-    for p in range(1, degree + 1):
-        powers[:, p] = powers[:, p - 1] * (1j * kh) / p
-    table = np.empty((2 * truncation, degree + 1))
-    table[0::2] = powers.real
-    table[1::2] = -powers.imag
-    table.setflags(write=False)
-    return table
+    kh = h * _live_harmonics(truncation)
+    magnitude = np.ones(kh.shape[0])
+    factors = np.empty((_taylor_degree(reach * truncation * h) + 1, kh.shape[0]), dtype=complex)
+    for p, row in enumerate(factors):
+        if p:
+            magnitude *= kh
+            magnitude /= p
+        np.multiply((1.0, 1j, -1.0, -1j)[p % 4], magnitude, out=row)
+    factors.setflags(write=False)
+    return factors
 
 
 def _local_polynomials(live: np.ndarray, indices: list[list[int]], n: int, truncation: int):
     """Coefficients ``r_p`` of ``Re sum_k c_k exp(j k (theta_i + u h)) = sum_p r_p u^p``
-    for each lane: row r of the live amplitudes (:func:`_live`; ``c_k`` is
-    zero at the dead k) at grid point ``i = indices[s][r]``, for each set s
-    of one index per row.  Lane ``s * rows + r`` of the result.
+    for each lane: row r of the live amplitudes (:func:`_live`) at grid
+    point ``i = indices[s][r]``, for each set s of one index per row.  Lane
+    ``s * rows + r`` of the result.
 
     ``theta_i = i h`` and ``h = 2 pi / n``; the expansion holds to 1e-17 of
-    ``sum_k |c_k|`` for |u| <= 1.  One stacked product of each lane's
-    ``(1, 2K)`` row with the same :func:`_taylor_table`, so a lane's
-    coefficients do not depend on the other lanes.
+    ``sum_k |c_k|`` for |u| <= 1.  ``r_p = Re sum_k b_k f_kp`` for the
+    shifted amplitudes ``b_k = c_k w^(i k)`` and the :func:`_live_factors`
+    ``f_kp`` at reach 1: the dot product of ``conj(b)`` and ``f`` viewed as
+    floats.  One stacked product of each lane's row with the same matrix,
+    so a lane's coefficients do not depend on the other lanes.
     """
     phases = np.multiply.outer(np.array(indices, dtype=np.intp), _live_harmonics(truncation))
     phases %= n
-    roots = _roots_of_unity(n).take(phases)
-    shifted = np.zeros((len(indices), live.shape[0], truncation), dtype=complex)
-    np.multiply(live[:, :1], roots[..., :1], out=shifted[..., :1])
-    np.multiply(live[:, 1:], roots[..., 1:], out=shifted[..., 1::2])
-    stacked = shifted.view(float).reshape(-1, 1, 2 * truncation)
-    return (stacked @ _taylor_table(truncation, n))[:, 0].tolist()
+    shifted = _roots_of_unity(n).take(phases)
+    np.multiply(live, shifted, out=shifted)
+    np.conjugate(shifted, out=shifted)
+    stacked = shifted.view(float).reshape(-1, 1, 2 * live.shape[1])
+    return (stacked @ _live_factors(truncation, n, 1.0).view(float).T)[:, 0].tolist()
 
 
 def _newton_extremum(coeffs: list[float], sign: float) -> float:
@@ -583,7 +567,8 @@ def grid_extrema(
     is coarser than 1e-12 s, both grid extrema are Newton-polished on the
     exact trig polynomial: the row's series is expanded around the grid
     argmax and argmin in powers of the offset u (in grid steps, ``|u| <=
-    1``; :func:`_local_polynomials`), and Newton's method runs on that
+    1``; :func:`_local_polynomials`, from the :func:`_live_factors` that
+    :func:`taylor_table` reads too), and Newton's method runs on that
     polynomial (:func:`_newton_extremum`).  Each result is the better of the
     grid value and the polished one.  Finer grids keep their grid extrema,
     which already lie within ``scale (2 pi / n)^2 / 8 sum_k k^2 |c_k|`` of
@@ -707,24 +692,19 @@ def ripple_peak(
     x = fc * filt.tau
     scale = _amplification(filt.resistance, x) * amplitude
     _check_output_bound(kind, scale, filt.resistance, truncation)
-    return float(aligned_peaks(kind, (scale,), filt.resistance, _attenuation([x], truncation))[0])
+    return float(_aligned_peaks(kind, (scale,), filt.resistance, [x], truncation)[0])
 
 
-def _attenuation(xs, truncation: int) -> np.ndarray:
-    """``sqrt(1 + (2 pi k x)^2)`` for k = 1..K, one row per ``x = fc tau``."""
-    wt = _omega_tau(xs, _harmonic_omegas(truncation))
-    return np.sqrt(1.0 + wt * wt)
+def _aligned_peaks(kind: RectifierKind, scales, resistance: float, xs, truncation: int):
+    """:func:`ripple_peak` at each ``x = fc tau``, scaled by its entry of scales.
 
-
-def aligned_peaks(kind: RectifierKind, scales, resistance: float, atten: np.ndarray) -> np.ndarray:
-    """:func:`ripple_peak` for each row of an :func:`_attenuation` matrix.
-
-    ``scale R (a0/2 + sum_k a_k / atten_k)``, where ``scale`` is the row's
-    input peak ``delta A``.  The matrix keeps all K columns, the zero odd
-    harmonics' too, so that each row sums the same terms in the same order
-    as the per-point :func:`ripple_peak`.
+    ``scale R (a0/2 + sum_k a_k / sqrt(1 + (2 pi k x)^2))``, where ``scale``
+    is the row's input peak ``delta A``, summed over the live k
+    (:func:`_live`) only: the other a_k are exact zeros.  Each row sums its
+    terms in the order a one-row call would.
     """
-    harmonics = np.sum(coefficients(kind, atten.shape[1]) / atten, axis=1)
+    wt = _omega_tau(xs, _live_omegas(truncation))
+    harmonics = np.sum(_live_coefficients(kind, truncation) / np.sqrt(1.0 + wt * wt), axis=1)
     a0 = fourier_coefficient(kind, 0)
     return np.asarray(scales, dtype=float) * resistance * (0.5 * a0 + harmonics)
 

@@ -744,13 +744,32 @@ def taylor_tail(x, degree):
     return math.fsum(x**p / math.factorial(p) for p in range(degree + 1, degree + 60))
 
 
-@pytest.mark.parametrize("truncation", [1, 256, 600, 1024, 2000])
-def test_taylor_table_degree_keeps_the_tail_below_1e_17(truncation):
-    table = taylor_table(coefficients(HALF, truncation), FC)
-    rows, n = table.shape
-    assert n & (n - 1) == 0 and 4 * truncation <= n < 8 * truncation
-    # |u| <= 1/2 grid step: the tail is at most sum_k |c_k| sum_{p > D} (K h / 2)^p / p!
-    x = truncation * math.pi / n
+TAIL_TRUNCATIONS = [1, 256, 600, 1024, 2000]
+
+
+@pytest.mark.parametrize(
+    "truncation,polish",
+    [pytest.param(k, False, id=str(k)) for k in TAIL_TRUNCATIONS]
+    + [pytest.param(k, True, id=f"polish-{k}") for k in TAIL_TRUNCATIONS],
+)
+def test_taylor_table_degree_keeps_the_tail_below_1e_17(truncation, polish):
+    if polish:
+        # the polish's factors reach |u| <= 1 grid step, on a grid it polishes
+        # (n >= 2K): the tail is at most sum_k |c_k| sum_{p > D} (K h)^p / p!
+        n = 4096
+        table = rcfilter._live_factors(truncation, n, 1.0)
+        rows = table.shape[0]
+        assert table.shape[1] == 1 + truncation // 2
+        live = rcfilter._live(coefficients(HALF, truncation)[None, :])
+        (coeffs,) = rcfilter._local_polynomials(live, [[0]], n, truncation)
+        assert len(coeffs) == rows
+        x = truncation * 2.0 * math.pi / n
+    else:
+        table = taylor_table(coefficients(HALF, truncation), FC)
+        rows, n = table.shape
+        assert n & (n - 1) == 0 and 4 * truncation <= n < 8 * truncation
+        # |u| <= 1/2 grid step: the tail is at most sum_k |c_k| sum_{p > D} (K h / 2)^p / p!
+        x = truncation * math.pi / n
     assert taylor_tail(x, rows - 1) <= 1e-17 < taylor_tail(x, rows - 2)
     assert not table.flags.writeable
 
@@ -787,6 +806,28 @@ def test_taylor_table_rows_are_period_grids_of_derivative_amplitudes(
     for cells in (1, 2**40):
         monkeypatch.setattr(rcfilter, "_TABLE_BLOCK_CELLS", cells)
         assert taylor_table(amplitudes, FC).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "filtered"])
+@pytest.mark.parametrize(
+    "kind,truncation",
+    # the full wave's K = 1 series is all zero
+    [(kind, k) for kind in (FULL, HALF) for k in (1, 2, 3, 64, 256, 700) if (kind, k) != (FULL, 1)],
+)
+def test_local_polynomials_are_period_grids_of_derivative_amplitudes(kind, truncation, filtered):
+    # the polish's Taylor coefficients come from the cached factors, the
+    # grid from the inverse FFT: r_p at grid index i is the period grid of
+    # c_k (j k h)^p / p! there, the constant term the series itself
+    filt = RcFilter.from_cutoff(2.0, 1e9 if filtered else math.inf)
+    amplitudes = output_series(kind, filt, 1.0, FC, truncation).amplitudes
+    n = 4096
+    indices = [[i] for i in range(0, n, 61)] + [[n - 1]]
+    live = rcfilter._live(amplitudes[None, :])
+    coeffs = np.array(rcfilter._local_polynomials(live, indices, n, truncation))
+    rows = coeffs.shape[1]
+    grids = period_grid(derivative_amplitudes(amplitudes, n, rows), np.ones(rows), 0.0, n)
+    want = grids[:, [i for (i,) in indices]].T
+    assert np.abs(coeffs - want).max() <= 1e-14 * np.abs(amplitudes).sum()
 
 
 @pytest.mark.parametrize("truncation", [1024, 2000])
