@@ -14,6 +14,9 @@ and ``exp(1j k theta)`` comes by angle addition from ~2 sqrt(K) evaluated
 exponentials, which rounds to a few ulp.  Their phases are reduced in whole
 turns of the carrier with integer arithmetic, so the rounding does not grow
 with k.
+
+The two-tone quadrature likewise takes an array of tone spacings: one node
+set and one carrier serve every spacing that shares its breakpoints.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .rectifier import RectifierKind, rectify
 
 __all__ = [
     "SampleStats",
+    "quad_projection",
     "quad_coefficient",
     "quad_b_coefficient",
     "quad_multisine_a0",
@@ -106,12 +110,14 @@ def _unit(angle: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quad_projection(kind: RectifierKind, k, fc: float, refine: int):
-    """``2 fc * integral of g(cos(theta)) exp(1j k theta) dt`` over one period,
-    ``theta = 2 pi fc t``, for every entry of ``k``; returns ``(k, projections)``.
+def quad_projection(kind: RectifierKind, k, fc: float = 1.0, refine: int = 1):
+    """``a_k + 1j b_k = 2 fc * integral of g(cos(theta)) exp(1j k theta) dt``
+    over one period, ``theta = 2 pi fc t``, by quadrature; b_0 is 0 by definition.
 
-    One node set serves every k, its panels sized by the largest.  With
-    ``B = isqrt(max k) + 1`` each ``k = B q + r`` (``0 <= r < B``) takes
+    ``k`` is one harmonic index (returns a complex) or an integer array of
+    them (returns an array of its shape).  One node set serves every k, its
+    panels sized by the largest.  With ``B = isqrt(max k) + 1`` each
+    ``k = B q + r`` (``0 <= r < B``) takes
     ``exp(1j k theta) = exp(1j B q theta) exp(1j r theta)``, so only ~2 sqrt(K)
     exponentials are evaluated by cos and sin, each split once more into a
     panel factor and a node factor that the segment's panels share.  Their
@@ -119,6 +125,12 @@ def _quad_projection(kind: RectifierKind, k, fc: float, refine: int):
     midpoint sits at an exact fraction of the period, so they stay within a
     few ulp for every k; the products add a few ulp more.  Nodes run in fixed
     blocks of panels, so memory does not grow with k times the node count.
+    A scalar and an array call agree to roundoff, not bit for bit; calls with
+    the same largest k agree bit for bit, so one over ``0..max k`` serves all.
+
+    Independent of ``fc`` up to roundoff (the substitution z = 2 pi fc t
+    removes it); passing different carriers is a consistency check, not a
+    model change.  ``refine`` multiplies the automatic panel count.
     """
     ks = _harmonic_indices(k)
     if fc <= 0:
@@ -168,7 +180,9 @@ def _quad_projection(kind: RectifierKind, k, fc: float, refine: int):
             inner *= panel[:, None, count:]
             total += inner.sum(axis=0)
             start = stop
-    return ks, (2.0 * fc) * total.ravel()[ks]
+    projections = (2.0 * fc) * total.ravel()[ks]
+    projections = np.where(ks == 0, projections.real, projections)
+    return complex(projections) if projections.ndim == 0 else projections
 
 
 def _result(values):
@@ -176,34 +190,16 @@ def _result(values):
 
 
 def quad_coefficient(kind: RectifierKind, k, fc: float = 1.0, refine: int = 1):
-    """Cosine coefficient(s) by quadrature:
-    ``2 fc * integral of g(cos(2 pi fc t)) cos(2 pi k fc t) over one period``.
-
-    ``k`` is one harmonic index (returns a float) or an integer array of them
-    (returns an array of its shape).  Every k shares one kink-aligned node
-    set whose panels are sized by the largest k, and ``cos(k theta)`` comes
-    by angle addition from ~2 sqrt(max k) exponentials, rounding to a few
-    ulp; a scalar and an array call agree to roundoff, not bit for bit.
-
-    Independent of ``fc`` up to roundoff (the substitution z = 2 pi fc t
-    removes it); passing different carriers is a consistency check, not a
-    model change.  ``refine`` multiplies the automatic panel count.
-    """
-    _, projections = _quad_projection(kind, k, fc, refine)
-    return _result(np.real(projections))
+    """Cosine coefficient(s) a_k by quadrature, the real part of :func:`quad_projection`."""
+    return _result(np.real(quad_projection(kind, k, fc, refine)))
 
 
 def quad_b_coefficient(kind: RectifierKind, k, fc: float = 1.0, refine: int = 1):
-    """Sine coefficient(s) by quadrature; vanish for all k by even symmetry.
-
-    Takes ``k`` as :func:`quad_coefficient` does, from the same node set and
-    the same angle addition; b_0 is 0 by definition.
-    """
-    ks, projections = _quad_projection(kind, k, fc, refine)
-    return _result(np.where(ks == 0, 0.0, np.imag(projections)))
+    """Sine coefficient(s) b_k, the imaginary part of :func:`quad_projection`; 0 by symmetry."""
+    return _result(np.imag(quad_projection(kind, k, fc, refine)))
 
 
-def quad_multisine_a0(kind: RectifierKind, fc: float, df: float, refine: int = 1) -> float:
+def quad_multisine_a0(kind: RectifierKind, fc: float, df, refine: int = 1):
     """Two-tone DC coefficient by quadrature, per-tone normalized.
 
     Integrates the rectified two-tone waveform
@@ -213,26 +209,43 @@ def quad_multisine_a0(kind: RectifierKind, fc: float, df: float, refine: int = 1
     :func:`rectenna.rectifier.multisine_a0`.  Matches that closed form for
     ``df <= fc``, where rectifier conduction stays confined to the carrier
     half-cycles.
+
+    ``df`` is one spacing (returns a float) or an array (returns its shape).
+    One node set and carrier serve each distinct breakpoint set (df > fc adds
+    the envelope zeros +-1/(2 df)), so each entry is bitwise its scalar call.
     """
+    spacings = np.asarray(df)
+    values = spacings.ravel().tolist()
     if fc <= 0:
         raise ValueError(f"fc must be > 0, got {fc}")
-    if df < 0:
-        raise ValueError(f"df must be >= 0, got {df}")
+    for value in values:
+        if value < 0:
+            raise ValueError(f"df must be >= 0, got {value}")
     if refine < 1:
         raise ValueError(f"refine must be >= 1, got {refine}")
     _require_quadrature_range(fc, 0)
-    if not math.isfinite(math.pi * df):
-        raise ValueError(f"df = {df!r} is out of the quadrature's range: pi*df is not finite")
+    for value in values:
+        if not math.isfinite(math.pi * value):
+            raise ValueError(
+                f"df = {value!r} is out of the quadrature's range: pi*df is not finite"
+            )
     quarter = 1.0 / (4.0 * fc)
     half = 1.0 / (2.0 * fc)
-    breakpoints = {-half, -quarter, quarter, half}
-    if df > fc:
-        # envelope zeros enter the carrier period
-        breakpoints.update({-0.5 / df, 0.5 / df})
-    edges = sorted(breakpoints)
-    t, weights = _node_set(edges, [refine * 16] * (len(edges) - 1))
-    values = rectify(kind, 2.0 * np.cos((math.pi * df) * t) * np.cos((2.0 * math.pi * fc) * t))
-    return fc * float(weights @ values)
+    node_sets = {}
+    a0 = []
+    for value in values:
+        breakpoints = {-half, -quarter, quarter, half}
+        if value > fc:
+            # envelope zeros enter the carrier period
+            breakpoints.update({-0.5 / value, 0.5 / value})
+        edges = tuple(sorted(breakpoints))
+        if edges not in node_sets:
+            t, weights = _node_set(edges, [refine * 16] * (len(edges) - 1))
+            node_sets[edges] = t, weights, np.cos((2.0 * math.pi * fc) * t)
+        t, weights, carrier = node_sets[edges]
+        integrand = rectify(kind, 2.0 * np.cos((math.pi * value) * t) * carrier)
+        a0.append(fc * float(weights @ integrand))
+    return _result(np.reshape(a0, spacings.shape))
 
 
 def steady_state(kind: RectifierKind, resistance: float, scale: float, fc: float, tau: float, t):
@@ -261,7 +274,10 @@ def steady_state(kind: RectifierKind, resistance: float, scale: float, fc: float
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
     peak = resistance * scale
-    phase = np.remainder(np.multiply(fc, t, dtype=float), 1.0)
+    phase = np.multiply(fc, t, dtype=float)
+    if not np.isfinite(phase).all():
+        raise ValueError("t must hold finite times, with fc * t finite")
+    phase = np.remainder(phase, 1.0)
     a = 1.0 / (fc * tau) if fc * tau else math.inf
     if a == math.inf:
         return peak * rectify(kind, np.cos(2.0 * math.pi * phase))
@@ -346,8 +362,8 @@ def sample_stats(f: Callable, period: float, n: int, refine_argmax: bool = True)
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    if period <= 0:
-        raise ValueError(f"period must be > 0, got {period}")
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and > 0, got {period}")
     ts = np.arange(n) * (period / n)
     values = np.asarray(f(ts), dtype=float)
     if values.shape != ts.shape:

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rectenna.cli
+import rectenna.oracle
 from rectenna import (
     RcFilter,
     RectifierKind,
@@ -448,6 +449,17 @@ GOLDEN = {
         "fd77670635b9ad3ee804e3e6965c2be38734c598c7ce7cbd91e0ed68cfd159b5",
     ("validate", "--fc", "13.56e6"):
         "de832deb7a571d36fa8e6461bcabe5b1bd10c90f8e9e174711951551108dbb98",
+    # recorded before validate and multisine-a0 shared their quadratures, on
+    # the cases where the sharing must not apply or must group spacings:
+    # the probe's largest harmonic, 16, above k_max (its own projection) ...
+    ("validate", "--k-max", "8"):
+        "eff351297070988f4e979fa800bd883da7cd9eeff80fd44dbdb58750287c188f",
+    # ... the probe's largest harmonic, 64, below k_max ...
+    ("validate", "--k-max", "100", "--fc", "915e6"):
+        "6c96bb949356c3a7130dec4e1d3dd73d32a7c7dc3406faecbe5dc9554e78f1be",
+    # ... and a spacing grid taken by one array quadrature call
+    ("multisine-a0", "--df", "9.15e6:4.575e8:5:log"):
+        "5822bff7282285a929a1fca676218bb84c73a6ac54ed03ba380a26f23f0cee6d",
 }
 
 
@@ -456,3 +468,23 @@ def test_golden_output_bytes(capsys, argv):
     code, out, _ = run_cli(capsys, list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+def test_validate_computes_each_distinct_quadrature_once(capsys, monkeypatch):
+    counts = {"_harmonic_indices": 0, "_node_set": 0}
+    for name in counts:
+        original = getattr(rectenna.oracle, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rectenna.oracle, name, counted)
+    code, _, _ = run_cli(capsys, ["validate", "--fc", "13.56e6"])
+    assert code == 0
+    # each coefficient projection checks its harmonics once and builds one
+    # node set.  Per kind: one projection over 0..64 that the coefficient,
+    # sine and probe-reference checks share, one at refine 2, one at fc, and
+    # one two-tone node set for all four spacings; unshared, these were 10
+    # projections and 18 node sets
+    assert counts == {"_harmonic_indices": 6, "_node_set": 8}

@@ -27,7 +27,7 @@ from rectenna import (
     quad_multisine_a0,
     sample_stats,
 )
-from rectenna.oracle import steady_state
+from rectenna.oracle import quad_projection, steady_state
 from rectenna.rectifier import coefficient_tail, rectify
 
 FULL = RectifierKind.FULL_WAVE
@@ -121,6 +121,26 @@ def test_quadrature_rejects_negative_float_or_empty_harmonics(quad, ks):
         quad(FULL, ks)
 
 
+@pytest.mark.parametrize("kind", [FULL, HALF])
+@pytest.mark.parametrize("fc", [1.0, 13.56e6])
+@pytest.mark.parametrize("refine", [1, 2])
+def test_projection_over_0_to_top_indexes_bitwise_to_direct_calls(kind, fc, refine):
+    # the node set and the angle-addition split depend on the harmonics only
+    # through the largest, so one projection over 0..top serves every call
+    # whose largest harmonic is top, bit for bit
+    top = 64
+    every = quad_projection(kind, np.arange(top + 1), fc, refine)
+    assert every.imag[0] == 0.0  # b_0 is 0 by definition
+    for ks in (np.array([0, 1, 2, 5, 16, 64]), np.array([[64, 3], [0, 7]]), np.arange(top + 1)):
+        direct = quad_projection(kind, ks, fc, refine)
+        assert direct.shape == ks.shape
+        assert direct.tobytes() == every[ks].tobytes()
+        assert quad_coefficient(kind, ks, fc, refine).tobytes() == every[ks].real.tobytes()
+        assert quad_b_coefficient(kind, ks, fc, refine).tobytes() == every[ks].imag.tobytes()
+    scalar = quad_projection(kind, top, fc, refine)
+    assert type(scalar) is complex and scalar == every[top]
+
+
 def test_quadrature_memory_does_not_grow_with_harmonics_times_nodes():
     # 2001 harmonics on 128k nodes: without node blocks the working arrays
     # grow with harmonics x nodes (over 100 MB here); blocks keep a few MB
@@ -177,6 +197,44 @@ def test_multisine_quadrature_full_half_factor():
     assert got == pytest.approx(1.99215, abs=1e-5)
 
 
+def test_array_multisine_quadrature_is_bitwise_its_scalar_calls(monkeypatch):
+    fc = 13.56e6
+    # df = 0, spacings up to fc on the carrier's breakpoints, and two past fc
+    # that each add their own envelope zeros
+    dfs = np.array([[0.0, 0.01 * fc, 0.5 * fc], [fc, 2.5 * fc, 3.0 * fc]])
+    node_sets = []
+    node_set = rectenna.oracle._node_set
+    monkeypatch.setattr(
+        rectenna.oracle, "_node_set", lambda *args: node_sets.append(1) or node_set(*args)
+    )
+    for kind in (FULL, HALF):
+        for refine in (1, 2):
+            del node_sets[:]
+            got = quad_multisine_a0(kind, fc, dfs, refine)
+            assert got.shape == dfs.shape
+            assert len(node_sets) == 3
+            want = [quad_multisine_a0(kind, fc, df, refine) for df in dfs.ravel().tolist()]
+            assert got.tobytes() == np.array(want).reshape(dfs.shape).tobytes()
+    a0 = quad_multisine_a0(HALF, fc, np.array(0.3 * fc))
+    assert type(a0) is float and a0 == quad_multisine_a0(HALF, fc, 0.3 * fc)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (-1.0, "df must be >= 0, got -1.0"),
+        (-math.inf, "df must be >= 0, got -inf"),
+        (math.nan, "df = nan is out of the quadrature's range: pi*df is not finite"),
+        (math.inf, "df = inf is out of the quadrature's range: pi*df is not finite"),
+    ],
+)
+def test_multisine_quadrature_refuses_any_bad_spacing_with_the_scalar_message(bad, message):
+    for df in (bad, np.array([0.5, bad, 0.25]), np.array([[0.0], [bad]])):
+        with pytest.raises(ValueError) as refused:
+            quad_multisine_a0(FULL, 1.0, df)
+        assert str(refused.value) == message
+
+
 def test_multisine_quadrature_panel_doubling():
     fc, df = 915e6, 91.5e6
     a = quad_multisine_a0(HALF, fc, df, refine=1)
@@ -211,6 +269,10 @@ def test_sample_stats_rejects_bad_arguments():
         sample_stats(lambda t: t, 1.0, 1)
     with pytest.raises(ValueError):
         sample_stats(lambda t: t, 0.0, 16)
+    # a non-finite period would sample nan times and return all-nan stats
+    for period in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="period"):
+            sample_stats(lambda t: t, period, 16)
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -299,6 +361,15 @@ def test_steady_state_at_zero_tau_is_the_rectified_drive(kind):
 def test_steady_state_rejects_out_of_range_input(args):
     with pytest.raises(ValueError):
         steady_state(FULL, *args, 0.0)
+
+
+@pytest.mark.parametrize("kind", [FULL, HALF])
+@pytest.mark.parametrize("tau", [0.0, 1e-9])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.array([0.0, math.nan, 1e-9])])
+def test_steady_state_refuses_non_finite_times(kind, tau, t):
+    # as eval_filtered does: a nan phase would come back as a nan voltage
+    with pytest.raises(ValueError, match="finite times"):
+        steady_state(kind, 2.0, 1.0, 1e6, tau, t)
 
 
 @settings(max_examples=60, deadline=None)
