@@ -27,7 +27,6 @@ from .rcfilter import (
     eval_filtered,
     filtered_series,
     max_ripple,
-    require_finite_positive,
     ripple_peak,
 )
 from .rectifier import (
@@ -38,6 +37,7 @@ from .rectifier import (
     eval_series,
     fourier_coefficient,
     multisine_a0,
+    require_finite_positive,
 )
 
 DEFAULT_AMPLITUDE = 1.0
@@ -108,13 +108,9 @@ def _parse_range(text: str) -> tuple[float, float, int, str]:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ValueError(f"expected min:max:points[:log], got {text!r}")
-    lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
-    spacing = "linear"
-    if len(parts) == 4:
-        if parts[3] not in ("lin", "linear", "log"):
-            raise ValueError(f"spacing must be 'linear' or 'log', got {parts[3]!r}")
-        spacing = "log" if parts[3] == "log" else "linear"
-    return lo, hi, points, spacing
+    # the spacing is passed on as given: make_grid refuses a bad one
+    spacing = parts[3] if len(parts) == 4 else "linear"
+    return float(parts[0]), float(parts[1]), int(parts[2]), spacing
 
 
 def _filter_from_args(args) -> RcFilter:
@@ -372,67 +368,62 @@ def build_parser() -> argparse.ArgumentParser:
         "DC/ripple trade-off and capacitance design.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--kind": dict(choices=sorted(_KINDS), default="full",
+                       help="rectifier nonlinearity (default: full)"),
+        "--amplitude": dict(type=float, default=DEFAULT_AMPLITUDE,
+                            help="source peak amplitude in volts (default: 1)"),
+        "--fc": dict(type=float, default=DEFAULT_FC,
+                     help="carrier frequency in Hz (default: 915e6)"),
+        "--rl": dict(type=float, default=DEFAULT_RESISTANCE,
+                     help="load resistance in ohms (default: 2)"),
+        "--truncation": dict(type=int, default=DEFAULT_TRUNCATION,
+                             help="number of harmonics kept (default: 256)"),
+        "--format": dict(choices=("csv", "json"), default="csv",
+                         help="output format (default: csv)"),
+        "--out": dict(default=None, help="write output to this path instead of stdout"),
+    }
+    every = tuple(options)
 
-    def add_common(p, needs_filter=False):
-        p.add_argument("--kind", choices=sorted(_KINDS), default="full",
-                       help="rectifier nonlinearity (default: full)")
-        p.add_argument("--amplitude", type=float, default=DEFAULT_AMPLITUDE,
-                       help="source peak amplitude in volts (default: 1)")
-        p.add_argument("--fc", type=float, default=DEFAULT_FC,
-                       help="carrier frequency in Hz (default: 915e6)")
-        p.add_argument("--rl", type=float, default=DEFAULT_RESISTANCE,
-                       help="load resistance in ohms (default: 2)")
-        p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
-                       help="number of harmonics kept (default: 256)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format (default: csv)")
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        if needs_filter:
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--fcut", type=float,
-                               help="filter cut-off in Hz; 0 or inf selects the unfiltered tau=0 case")
-            group.add_argument("--cap", type=float, help="filter capacitance in farads")
+    def add(name, handler, summary, flags):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        return p
 
-    p = sub.add_parser("coeffs", help="closed-form vs quadrature Fourier coefficients")
-    add_common(p)
+    p = add("coeffs", _cmd_coeffs, "closed-form vs quadrature Fourier coefficients",
+            ("--kind", "--fc", "--format", "--out"))
     p.add_argument("--k-max", type=int, default=16, help="highest harmonic index (default: 16)")
 
-    p = sub.add_parser("trace", help="filter output voltage over a time grid")
-    add_common(p, needs_filter=True)
+    p = add("trace", _cmd_trace, "filter output voltage over a time grid", every)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--fcut", type=float,
+                       help="filter cut-off in Hz; 0 or inf selects the unfiltered tau=0 case")
+    group.add_argument("--cap", type=float, help="filter capacitance in farads")
     p.add_argument("--t", default=None,
                    help="time grid as start:stop:points (default: two carrier periods, 1024 points)")
 
-    p = sub.add_parser("sweep", help="DC voltage and ripple vs cut-off frequency")
-    add_common(p)
+    p = add("sweep", _cmd_sweep, "DC voltage and ripple vs cut-off frequency", every)
     p.add_argument("--fcut", required=True, help="cut-off grid as min:max:points[:log]")
 
-    p = sub.add_parser("design", help="pick the capacitance for a ripple budget")
-    add_common(p)
+    p = add("design", _cmd_design, "pick the capacitance for a ripple budget", every)
     p.add_argument("--budget", type=float, required=True, help="ripple budget in volts")
     p.add_argument("--metric", choices=("sampled", "analytic"), default="sampled",
                    help="ripple metric to constrain (default: sampled peak-to-peak)")
 
-    p = sub.add_parser("multisine-a0", help="two-tone DC coefficient, closed form vs quadrature")
-    add_common(p)
+    p = add("multisine-a0", _cmd_multisine_a0,
+            "two-tone DC coefficient, closed form vs quadrature",
+            ("--kind", "--fc", "--format", "--out"))
     p.add_argument("--df", required=True,
                    help="tone spacing in Hz, a single value or min:max:points[:log]")
 
-    p = sub.add_parser("validate", help="run the oracle-agreement checks")
-    add_common(p)
+    # validate checks both rectifiers and prints its own PASS/FAIL report
+    p = add("validate", _cmd_validate, "run the oracle-agreement checks", ("--fc",))
     p.add_argument("--k-max", type=int, default=64,
                    help="highest harmonic checked against quadrature (default: 64)")
 
     return parser
-
-
-_HANDLERS = {
-    "coeffs": _cmd_coeffs,
-    "trace": _cmd_trace,
-    "sweep": _cmd_sweep,
-    "design": _cmd_design,
-    "multisine-a0": _cmd_multisine_a0,
-    "validate": _cmd_validate,
-}
 
 
 @functools.cache
@@ -443,19 +434,21 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    args.kind = _KINDS[args.kind]
+    if "kind" in args:
+        args.kind = _KINDS[args.kind]
     try:
-        require_finite_positive("--amplitude", args.amplitude)
-        require_finite_positive("--fc", args.fc)
-        require_finite_positive("--rl", args.rl)
-        if args.truncation < 1:
+        # each check runs only where the command has the option
+        for name in ("amplitude", "fc", "rl"):
+            if name in args:
+                require_finite_positive(f"--{name}", getattr(args, name))
+        if "truncation" in args and args.truncation < 1:
             raise ValueError(f"--truncation must be >= 1, got {args.truncation}")
-        if getattr(args, "k_max", 0) < 0:  # coeffs and validate
+        if "k_max" in args and args.k_max < 0:
             raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
         # out-of-range inputs overflow to inf or nan inside numpy; _emit
         # refuses such a table, so the warnings would only precede that error
         with np.errstate(over="ignore", invalid="ignore"):
-            return _HANDLERS[args.command](args)
+            return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

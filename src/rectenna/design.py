@@ -26,7 +26,6 @@ from .rcfilter import (
     dc_voltage,
     eval_filtered,
     filtered_series,
-    require_finite_positive,
     ripple_peak,
 )
 from .rectifier import (
@@ -36,6 +35,7 @@ from .rectifier import (
     build_series,
     fourier_coefficient,
     rectify,
+    require_finite_positive,
 )
 
 __all__ = [

@@ -74,7 +74,6 @@ __all__ = [
     "ripple_peak",
     "max_ripple",
     "dc_limits",
-    "require_finite_positive",
 ]
 
 # grids coarser than this (seconds per sample) get Newton-polished extrema;

@@ -171,10 +171,91 @@ def test_bad_range_syntax_is_config_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("spacing", ["lin", "Log", ""])
+def test_unknown_range_spacing_is_refused_by_the_grid_builder(capsys, spacing):
+    code, out, err = run_cli(capsys, ["sweep", "--fcut", f"1e8:1e11:20:{spacing}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: spacing must be 'linear' or 'log', got {spacing!r}\n"
+
+
 def test_bad_parameter_is_config_error(capsys):
-    code, _, err = run_cli(capsys, ["coeffs", "--amplitude", "-1"])
+    code, _, err = run_cli(capsys, ["design", "--amplitude", "-1", "--budget", "0.1"])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--rl", "2"],
+        ["multisine-a0", "--df", "1e6", "--truncation", "8"],
+        ["validate", "--kind", "half"],
+        ["validate", "--format", "json"],
+        ["validate", "--out", "{out}"],
+    ],
+)
+def test_option_a_command_does_not_read_is_refused(tmp_path, capsys, argv):
+    # these commands once accepted every model and output option and ignored
+    # the ones they never read; validate prints its report to stdout only
+    target = tmp_path / "report.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(out=target) for arg in argv])
+    assert exc.value.code == 2
+    assert not target.exists()
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments" in err
+
+
+# each command's long options, in the order build_parser declares them
+SHARED = ["--kind", "--amplitude", "--fc", "--rl", "--truncation", "--format", "--out"]
+OPTIONS = {
+    "coeffs": ["--kind", "--fc", "--format", "--out", "--k-max"],
+    "trace": SHARED + ["--fcut", "--cap", "--t"],
+    "sweep": SHARED + ["--fcut"],
+    "design": SHARED + ["--budget", "--metric"],
+    "multisine-a0": ["--kind", "--fc", "--format", "--out", "--df"],
+    "validate": ["--fc", "--k-max"],
+}
+
+# SHA-256 of each --help text at an 80-column width.  The top-level, trace,
+# sweep and design texts were recorded before coeffs, multisine-a0 and
+# validate dropped the options they never read, and did not move with it
+HELP = {
+    None: "afad61dc8bd13a19c012598f2eb142cf544128b7b775e09ae441f05f5d788150",
+    "coeffs": "7f5742e599c2f4e2172afb175746db353b4fe1059e255bbfcf66a79a0b22a21d",
+    "trace": "24e4e5896031cd506c7fced421a7398094378b132d27328a7d13ce812ad4474a",
+    "sweep": "3625bc278dcd2da7b402c638601998d65e1f467771a69446cd83aaf0b714aba9",
+    "design": "768298c095871c6104cbbe66c39e8c4f99fa57495c66038e95f35c3043f415b0",
+    "multisine-a0": "8233f44436188bda483ab8ae5d5f0abc3344e486b2164b533755c0da121f456f",
+    "validate": "e3c5cc175a435804a9c096265dc7a560288f95b7a19d82899cf875259b5b9227",
+}
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_command_takes_exactly_its_options():
+    commands = _subparsers(rectenna.cli.build_parser())
+    assert list(commands) == list(OPTIONS)
+    for name, sub in commands.items():
+        longs = [
+            flag for action in sub._actions for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        ]
+        assert longs == OPTIONS[name], name
+    assert sum(map(len, OPTIONS.values())) == 39
+
+
+def test_help_texts_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = rectenna.cli.build_parser()
+    texts = {None: parser.format_help()}
+    texts.update((name, sub.format_help()) for name, sub in _subparsers(parser).items())
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert digests == HELP
 
 
 def test_unknown_command_exits_two(capsys):
