@@ -19,7 +19,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import oracle
-from .design import make_grid, optimize_capacitance, sweep_cutoff, time_trace
+from .design import DEFAULT_SAMPLES, _sweep_table, make_grid, optimize_capacitance, time_trace
 from .rcfilter import (
     RcFilter,
     amplification_factor,
@@ -162,24 +162,14 @@ def _cmd_trace(args) -> int:
 
 def _cmd_sweep(args) -> int:
     lo, hi, points, spacing = _parse_range(args.fcut)
-    rows = sweep_cutoff(
-        args.kind,
-        args.rl,
-        args.amplitude,
-        args.fc,
-        lo,
-        hi,
-        points,
-        spacing,
-        args.truncation,
+    # sweep_cutoff's checked columns, as one (points, 6) float table
+    table = _sweep_table(
+        args.kind, args.rl, args.amplitude, args.fc, lo, hi, points, spacing, args.truncation,
+        DEFAULT_SAMPLES,
     )
-    table = [
-        [r.cutoff, r.tau, r.capacitance, r.v_dc, r.ripple_analytic, r.ripple_sampled]
-        for r in rows
-    ]
     _emit(
         ["f_cut_hz", "tau_s", "cap_f", "v_dc_v", "ripple_analytic_v", "ripple_sampled_v"],
-        table,
+        table.T,
         args,
     )
     return 0

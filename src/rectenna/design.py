@@ -18,11 +18,7 @@ from .rcfilter import (
     _aligned_peaks,
     _amplification,
     _check_output_bound,
-    _grid_extrema,
-    _live_coefficients,
-    _live_omegas,
-    _omega_tau,
-    _transfers,
+    _prepared_kernel,
     dc_voltage,
     eval_filtered,
     filtered_series,
@@ -56,12 +52,12 @@ RIPPLE_METRICS = ("sampled_ptp", "analytic")
 DEFAULT_SAMPLES = 4096
 
 # cut-offs per inverse FFT and extremum search: a block shares the fixed
-# numpy cost per call, and each row takes ~50 KB of the period grid's reused
-# scratch arrays at 4096 samples
+# numpy cost per call, and each row takes ~55 KB of its prepared kernel's
+# buffers at 4096 samples and K = 256
 _SWEEP_BLOCK = 8
-# cut-offs per chunk of (rows, 1 + K/2) transfer and aligned-peak matrices
-# in sweep_cutoff, a multiple of _SWEEP_BLOCK: a 50-point sweep is one chunk,
-# and a chunk's matrices peak at ~0.4 MB at K = 256 however long the sweep
+# cut-offs per chunk of (rows, 1 + K/2) aligned-peak matrices in
+# sweep_cutoff, a multiple of _SWEEP_BLOCK: a 50-point sweep is one chunk,
+# and a chunk peaks at ~0.3 MB at K = 256 however long the sweep
 _SWEEP_CHUNK = 64
 
 # capacitance solve on log tau.  The ripple depends on fc * tau alone and
@@ -130,16 +126,17 @@ def sampled_ripple(
 def _sampled_ripples(kind, resistance, xs, scales, fc, truncation, samples) -> list[float]:
     # the output at each x = fc tau, scaled by its entry of scales, as a
     # period grid of the live harmonics only (k = 1 and the even k): the
-    # rectifier's odd harmonics k >= 3 are exact zeros.  The transfers and
-    # amplitudes are one matrix; the grid and its extrema go by blocks
-    transfers = _transfers(resistance, _omega_tau(xs, _live_omegas(truncation)))
-    amps = _live_coefficients(kind, truncation) * transfers
+    # rectifier's odd harmonics k >= 3 are exact zeros.  Each block of rows
+    # runs in this thread's prepared kernel for its shape: transfers,
+    # amplitudes, grid and extrema all go into its buffers
     dc = 0.5 * fourier_coefficient(kind, 0) * resistance
     ripples = []
-    for start in range(0, len(amps), _SWEEP_BLOCK):
-        stop = start + _SWEEP_BLOCK
-        block = amps[start:stop], scales[start:stop]
-        vmaxs, vmins = _grid_extrema(*block, dc, fc, samples, truncation)
+    for start in range(0, len(xs), _SWEEP_BLOCK):
+        block = slice(start, start + _SWEEP_BLOCK)
+        block_xs = xs[block]
+        kernel = _prepared_kernel(truncation, samples, len(block_xs))
+        kernel.load_filter(kind, resistance, block_xs)
+        vmaxs, vmins = kernel.extrema(scales[block], dc, fc)
         ripples += map(operator.sub, vmaxs, vmins)
     return ripples
 
@@ -198,12 +195,27 @@ def sweep_cutoff(
     :func:`dc_voltage`, :func:`analytic_ripple` and :func:`sampled_ripple`
     give at its cut-off.  Every per-cut-off quantity is a column formed in
     one vectorized pass, in its scalar twin's operation order, with the
-    ``(rows, 1 + K/2)`` matrices of the live harmonics formed a chunk of
-    cut-offs at a time; only the period grid's inverse FFT and extrema run
-    per block of cut-offs.
+    ``(rows, 1 + K/2)`` aligned-peak matrices of the live harmonics formed
+    a chunk of cut-offs at a time; only the transfers, the period grid's
+    inverse FFT and its extrema run per block of cut-offs, in the block's
+    prepared kernel.
     Refuses what :meth:`RcFilter.from_cutoff` refuses, with its message,
     and a table with a value that is not finite (``ValueError``).
     """
+    table = _sweep_table(
+        kind, resistance, amplitude, fc, cutoff_min, cutoff_max, n_points, spacing, truncation,
+        samples,
+    )
+    return list(map(SweepRow, *table.tolist()))
+
+
+def _sweep_table(
+    kind, resistance, amplitude, fc, cutoff_min, cutoff_max, n_points, spacing, truncation, samples
+) -> np.ndarray:
+    # the SweepRow fields as the rows of one checked (6, points) array, which
+    # the CLI formats with no row objects.  Each column repeats its scalar
+    # twin's operations in order (from_cutoff, tau, _amplification,
+    # dc_voltage), so each entry is bitwise the per-point one
     require_finite_positive("amplitude", amplitude)
     require_finite_positive("fc", fc)
     require_finite_positive("cutoff_min", cutoff_min)
@@ -213,41 +225,32 @@ def sweep_cutoff(
     # 2 pi f_cut R may overflow (C = 0) or underflow, and the outputs may
     # overflow: the warnings are dropped, and the columns checked instead
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        table = _sweep_table(kind, resistance, amplitude, fc, cutoffs, truncation, samples)
+        denominators = 2.0 * math.pi * cutoffs * resistance
+        capacitances = 1.0 / denominators
+        # from_cutoff's refusals, with its messages, for the first cut-off with
+        # one: 2 pi f_cut R underflows to 0, or to a subnormal whose inverse is inf
+        infinite = capacitances == math.inf
+        if infinite.any():
+            i = int(infinite.argmax())
+            if denominators[i] == 0.0:
+                raise ValueError(f"cutoff {cutoffs[i]} with resistance {resistance} underflows")
+            require_finite_positive("capacitance", float(capacitances[i]), allow_zero=True)
+        taus = resistance * capacitances
+        xs = fc * taus
+        w = 2.0 * math.pi * xs
+        scales = np.sqrt(resistance / (1.0 + w * w)) * amplitude
+        v_dcs = scales * resistance * fourier_coefficient(kind, 0) / 2.0
+        peaks, ripples = np.empty_like(xs), np.empty_like(xs)
+        for start in range(0, len(xs), _SWEEP_CHUNK):
+            chunk = slice(start, start + _SWEEP_CHUNK)
+            peaks[chunk] = _aligned_peaks(kind, scales[chunk], resistance, xs[chunk], truncation)
+            ripples[chunk] = _sampled_ripples(
+                kind, resistance, xs[chunk], scales[chunk], fc, truncation, samples
+            )
+        table = np.array((cutoffs, taus, capacitances, v_dcs, peaks - v_dcs, ripples))
     if not np.isfinite(table).all():
         raise ValueError("result is not finite; an input is out of range")
-    return list(map(SweepRow, *table.tolist()))
-
-
-def _sweep_table(kind, resistance, amplitude, fc, cutoffs, truncation, samples) -> np.ndarray:
-    # the SweepRow fields as the rows of one (6, points) array.  Each column
-    # repeats its scalar twin's operations in order (from_cutoff, tau,
-    # _amplification, dc_voltage), so each entry is bitwise the per-point
-    # one.  A function of its own, so that its columns are freed before the
-    # caller builds the rows
-    denominators = 2.0 * math.pi * cutoffs * resistance
-    capacitances = 1.0 / denominators
-    # from_cutoff's refusals, with its messages, for the first cut-off with
-    # one: 2 pi f_cut R underflows to 0, or to a subnormal whose inverse is inf
-    infinite = capacitances == math.inf
-    if infinite.any():
-        i = int(infinite.argmax())
-        if denominators[i] == 0.0:
-            raise ValueError(f"cutoff {cutoffs[i]} with resistance {resistance} underflows")
-        require_finite_positive("capacitance", float(capacitances[i]), allow_zero=True)
-    taus = resistance * capacitances
-    xs = fc * taus
-    w = 2.0 * math.pi * xs
-    scales = np.sqrt(resistance / (1.0 + w * w)) * amplitude
-    v_dcs = scales * resistance * fourier_coefficient(kind, 0) / 2.0
-    peaks, ripples = np.empty_like(xs), np.empty_like(xs)
-    for start in range(0, len(xs), _SWEEP_CHUNK):
-        chunk = slice(start, start + _SWEEP_CHUNK)
-        peaks[chunk] = _aligned_peaks(kind, scales[chunk], resistance, xs[chunk], truncation)
-        ripples[chunk] = _sampled_ripples(
-            kind, resistance, xs[chunk], scales[chunk], fc, truncation, samples
-        )
-    return np.array((cutoffs, taus, capacitances, v_dcs, peaks - v_dcs, ripples))
+    return table
 
 
 def optimize_capacitance(

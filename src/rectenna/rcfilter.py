@@ -18,19 +18,26 @@ even, and the grid reads only the 1 + K/2 live columns (k = 1 and the even
 k; :func:`_live`): the even ones fold into an ``(m, n/4 + 1)`` one-sided
 spectrum, one real inverse FFT of length n/2 along its rows gives them on
 half the grid, and the c_1 cosine is then added on one half period and
-subtracted on the other, a row at a time.  The design layer's sweep
-and its one-row ripple metric form their transfers at the live k only, as
-one matrix per chunk of cut-offs, from a live ``2 pi k`` row and a live
-coefficient row cached per K and per (kind, K), and run the grid on blocks
-of its rows; they skip the public functions' argument checks and build no
-series object.  The aligned-phase peaks (:func:`ripple_peak`) sum the live
-k too.  :func:`period_samples` and :func:`period_extrema` are the one-row
-case.  Where that grid is coarser than 1e-12 s, :func:`grid_extrema`
-Newton-polishes both its extrema on the exact trig polynomial, with one
-stacked product for the Taylor coefficients of every row's argmax and
-argmin; finer grids keep their grid extrema.  Its grid lives in a
-per-thread scratch array that later calls reuse; where c_1 is zero (the
-full wave) only the first half period is written and read.
+subtracted on the other, a row at a time.  One kernel does all of this
+(:class:`_GridKernel`): built once for a (K, n, rows) shape, it owns the
+live amplitudes, the spectrum, the grid, the c_1 half row and every view
+a pass reads, and each pass writes into them with ``out=``.  The design
+layer's sweep and its one-row ripple metric run blocks of up to eight
+cut-offs in this thread's kernel for the block's shape
+(:func:`_prepared_kernel`, the last few shapes kept), which also forms
+their transfers at the live k, from a live ``2 pi k`` row and a live
+coefficient row cached per K and per (kind, K), into a denominator whose
+real part is preset to 1; they skip the public functions' argument checks
+and build no series object.  So a design solve's evaluations after the
+first allocate no buffer of the grid's size.  The aligned-phase peaks
+(:func:`ripple_peak`) sum the live k too.  :func:`period_samples` and
+:func:`period_extrema` are the one-row case.  Where that grid is coarser
+than 1e-12 s, :func:`grid_extrema` Newton-polishes both its extrema on the
+exact trig polynomial, with one stacked product for the Taylor
+coefficients of every row's argmax and argmin; finer grids keep their grid
+extrema.  Where c_1 is zero (the full wave) only the first half period is
+written and read, so a full-wave pass never reads a second half that an
+earlier pass on the same kernel left behind.
 :func:`eval_filtered` serves arbitrary times from a Taylor table
 (:func:`taylor_table`): one period grid whose D + 1 rows are the series'
 first D + 1 Taylor coefficients at every grid phase, built once per series.
@@ -82,18 +89,18 @@ _POLISH_SPACING = 1e-12
 # Taylor tail a local polynomial or table drops, relative to sum_k |c_k|
 _TAYLOR_TAIL = 1e-17
 # grid samples per block of Taylor table rows built by one inverse FFT: a
-# K = 256 table's 18 rows of 1024 take two blocks (three with 1 << 13), and
-# a K = 1024 table peaks at ~1.4x its own 590 KB while built (its cached
-# factors apart), against ~1.7x with 1 << 15
+# K = 256 table's 18 rows of 1024 take two blocks of nine (three of six with
+# 1 << 13), and a K = 1024 table peaks at ~1.4x its own 590 KB while built
+# (its cached factors apart), against ~1.7x with 1 << 15
 _TABLE_BLOCK_CELLS = 1 << 14
 # Newton on the local polynomial: step cap, and the step (in grid steps)
 # below which the next one would move the value by less than roundoff
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-9
-# period grid scratch arrays, per thread so concurrent calls never share one;
-# reused so a sweep's blocks do not fault in fresh pages on every call
-_SCRATCH = threading.local()
-_SCRATCH_SHAPES = 4
+# prepared period-grid kernels, per thread so concurrent calls never share
+# one; reused so a solve's evaluations and a sweep's blocks allocate nothing
+_KERNELS = threading.local()
+_KERNEL_SHAPES = 4
 
 
 @dataclass(frozen=True)
@@ -163,11 +170,12 @@ def _harmonic_omegas(truncation: int) -> np.ndarray:
     return omegas
 
 
-def _live(values: np.ndarray) -> np.ndarray:
+def _live(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The live columns of a last axis that runs over k = 1..K: k = 1, then
-    the even k.  The rectifier's odd harmonics k >= 3 are exact zeros, so
-    the engine reads only these 1 + K // 2 columns."""
-    return np.concatenate((values[..., :1], values[..., 1::2]), axis=-1)
+    the even k, in a new array or in ``out``.  The rectifier's odd
+    harmonics k >= 3 are exact zeros, so the engine reads only these
+    1 + K // 2 columns."""
+    return np.concatenate((values[..., :1], values[..., 1::2]), axis=-1, out=out)
 
 
 @lru_cache(maxsize=8)
@@ -257,47 +265,155 @@ def eval_filtered(fs: FilteredSeries, t):
     return base.scale * (dc + table_sum(fs.table, base.fundamental_fc, t))
 
 
-def _work_arrays(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """New spectrum and c_1-term arrays for a ``(rows, n)`` grid, n even:
-    the ``(rows, n/4 + 1)`` one-sided spectrum of the half grid, and one
-    half-period row that each grid row's c_1 term passes through."""
-    return np.empty((rows, n // 4 + 1), dtype=complex), np.empty(n // 2)
+class _GridKernel:
+    """The period grid of ``rows`` live rows (:func:`_live`) of a K =
+    ``truncation`` series, written into a ``(rows, n)`` array ``grid``, n
+    even: its work buffers and every view a pass reads, built once.
 
-
-def _scratch(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's :func:`_work_arrays` and grid for a ``(rows, n)`` grid.
-
-    Kept for the last few shapes used, oldest dropped first.
+    ``live`` holds the rows' live amplitudes: :meth:`load_filter` forms them
+    from ``x = fc tau``, or a caller writes them.  :meth:`fill` then writes
+    their grid and :meth:`extrema` reads its extrema.  Each pass runs its
+    ufuncs with ``out=`` into these buffers, so a cached kernel
+    (:func:`_prepared_kernel`) allocates nothing on reuse but a few
+    per-row temporaries.
     """
-    spaces = _SCRATCH.__dict__.setdefault("spaces", {})
-    key = (rows, n)
-    if key not in spaces:
-        if len(spaces) >= _SCRATCH_SHAPES:
-            del spaces[next(iter(spaces))]
-        spaces[key] = (*_work_arrays(rows, n), np.empty((rows, n)))
-    return spaces[key]
+
+    def __init__(self, truncation: int, grid: np.ndarray):
+        rows, n = grid.shape
+        width, points = 1 + truncation // 2, n // 2
+        self.truncation, self.n, self.grid, self.half = truncation, n, grid, grid[:, :points]
+        self.live = np.empty((rows, width), dtype=complex)
+        self.c1 = self.live[:, 0]
+        # the (rows, n/4 + 1) one-sided spectrum of the half grid, and one
+        # half-period row that each grid row's c_1 term passes through
+        self.spectrum = np.empty((rows, n // 4 + 1), dtype=complex)
+        self.fundamental = np.empty(points)
+        # irfft (norm="forward") sums bin 0, the Nyquist bin and 2 Re of the
+        # rest; the bins above the last harmonic's, the Nyquist bin among
+        # them, hold 0
+        top = min(width - 1, points // 2)
+        self.bin0, self.used = self.spectrum[:, 0], self.spectrum[:, : top + 1]
+        even_nyquist = points % 2 == 0 and top == points // 2
+        self.nyquist = self.spectrum[:, top] if even_nyquist else None
+        self.folds = _fold_pairs(self.spectrum, self.live[:, 1:], points)
+
+    @cached_property
+    def denominator(self) -> np.ndarray:
+        """``1 + j wt`` for :meth:`load_filter`, its real part set once: wt
+        goes into the imaginary view, so where wt overflows H is 0, not the
+        nan of ``1j * inf``."""
+        return np.ones(self.live.shape, dtype=complex)
+
+    def load_filter(self, kind: RectifierKind, resistance: float, xs) -> None:
+        """``live`` = the live ``a_k R / (1 + j 2 pi k x)``, one row per
+        ``x = fc tau`` in xs: the operations of :func:`_omega_tau` and
+        :func:`_transfers`, in their order."""
+        denominator = self.denominator
+        np.multiply.outer(xs, _live_omegas(self.truncation), out=denominator.imag)
+        np.divide(resistance, denominator, out=self.live)
+        np.multiply(_live_coefficients(kind, self.truncation), self.live, out=self.live)
+
+    def fill(self, scales: np.ndarray, dc: float, grid: np.ndarray | None = None) -> bool:
+        """Write the period grid of ``live``, scaled by ``scales`` and with
+        ``dc`` added, into the kernel's grid or into ``grid``, an array of
+        its shape.
+
+        Returns False, and leaves the grid's second half period unwritten,
+        where every row's c_1 is zero: it would repeat the first then.
+        """
+        points = self.n // 2
+        grid, half = (self.grid, self.half) if grid is None else (grid, grid[:, :points])
+        # harmonic 2j is frequency j on the half grid: fold them into the
+        # spectrum (zeroed first), then fold the row scale and dc in; each
+        # step runs in place on a view, with no copy back
+        self.spectrum.fill(0.0)
+        for bins, source, mirrored in self.folds:
+            np.add(bins, source.conj() if mirrored else source, out=bins)
+        np.add(self.bin0, dc, out=self.bin0)
+        np.multiply(self.used, (0.5 * scales)[:, None], out=self.used)
+        np.multiply(self.bin0, 2.0, out=self.bin0)
+        if self.nyquist is not None:
+            np.multiply(self.nyquist, 2.0, out=self.nyquist)
+        np.fft.irfft(self.spectrum, points, axis=1, norm="forward", out=half)
+        c1 = (self.c1 * scales).tolist()
+        if not any(c1):
+            return False
+        # L_i = Re(c_1 w^i) for i < n/2, then E_i -+ L_i on both half periods,
+        # a row at a time: each half row is contiguous, and L stays in cache
+        cos, sin = _half_period_roots(self.n)
+        fundamental = self.fundamental
+        for c, row in zip(c1, grid):
+            low, high = row[:points], row[points:]
+            np.multiply(sin, c.imag, out=high)
+            np.multiply(cos, c.real, out=fundamental)
+            np.subtract(fundamental, high, out=fundamental)
+            np.subtract(low, fundamental, out=high)
+            np.add(low, fundamental, out=low)
+        return True
+
+    def extrema(self, scales, dc: float, fc: float) -> tuple[list[float], list[float]]:
+        """:func:`grid_extrema` of ``live``, with no argument checks.
+
+        Where every row's c_1 is zero the extrema are read from the grid's
+        first half period alone, which the second would repeat: whatever an
+        earlier pass left in the second half is never read.
+        """
+        scales = np.asarray(scales, dtype=float)
+        values = self.grid if self.fill(scales, dc) else self.half
+        vmaxs = np.maximum.reduce(values, axis=1).tolist()
+        vmins = np.minimum.reduce(values, axis=1).tolist()
+        n, truncation = self.n, self.truncation
+        if (1.0 / fc) / n <= _POLISH_SPACING or n < 2 * truncation:
+            return vmaxs, vmins
+        # the first occurrence on the whole period, as the second half's copy
+        # of a full-wave row comes later
+        indices = [values.argmax(axis=1).tolist(), values.argmin(axis=1).tolist()]
+        coeffs = _local_polynomials(self.live, indices, n, truncation)
+        rows = len(vmaxs)
+        for r, scale in enumerate(scales.tolist()):
+            top = _newton_extremum(coeffs[r], 1.0)
+            bottom = _newton_extremum(coeffs[rows + r], -1.0)
+            vmaxs[r] = max(vmaxs[r], scale * (dc + top))
+            vmins[r] = min(vmins[r], scale * (dc + bottom))
+        return vmaxs, vmins
 
 
-def _fold_one_sided(spectrum: np.ndarray, placed: np.ndarray, points: int) -> None:
-    """Fold ``placed[:, f - 1]``, the amplitude of frequency f = 1..F on a
-    ``points``-sample grid, into the one-sided ``spectrum`` (zeroed first).
+def _fold_pairs(spectrum: np.ndarray, placed: np.ndarray, points: int) -> list[tuple]:
+    """``(bins, source, mirrored)`` views that fold ``placed[:, f - 1]``, the
+    amplitude of frequency f = 1..F on a ``points``-sample grid, into the
+    one-sided ``spectrum``: adding each source (conjugated where mirrored)
+    into its bins, in order, gives every bin its frequencies' sum.
 
     Frequency f aliases exactly into bin ``b = f mod points``; a bin above
     ``points / 2`` is the conjugate of bin ``points - b``.  Each bin adds its
-    frequencies in increasing order, as ``np.bincount`` would.  The sums run
-    in place on views of ``spectrum``, with no copy back.
+    frequencies in increasing order, as ``np.bincount`` would.
     """
-    spectrum.fill(0.0)
+    pairs = []
     top, half = placed.shape[1], points // 2
     for start in range(0, top + 1, points):
         lo, hi = max(start, 1), min(start + points, top + 1)
         mid = min(hi, start + half + 1)
-        bins = spectrum[:, lo - start : mid - start]
-        np.add(bins, placed[:, lo - 1 : mid - 1], out=bins)
+        pairs.append((spectrum[:, lo - start : mid - start], placed[:, lo - 1 : mid - 1], False))
         if mid < hi:
-            mirrored = placed[:, mid - 1 : hi - 1][:, ::-1].conj()
             bins = spectrum[:, start + points - hi + 1 : start + points - mid + 1]
-            np.add(bins, mirrored, out=bins)
+            pairs.append((bins, placed[:, mid - 1 : hi - 1][:, ::-1], True))
+    return pairs
+
+
+def _prepared_kernel(truncation: int, n: int, rows: int) -> _GridKernel:
+    """This thread's :class:`_GridKernel` for the shape, built on first use.
+
+    Kept for the last few shapes used, oldest dropped first.
+    """
+    _check_samples(n)
+    kernels = _KERNELS.__dict__.setdefault("kernels", {})
+    key = (truncation, n, rows)
+    kernel = kernels.get(key)
+    if kernel is None:
+        if len(kernels) >= _KERNEL_SHAPES:
+            del kernels[next(iter(kernels))]
+        kernel = kernels[key] = _GridKernel(truncation, np.empty((rows, n)))
+    return kernel
 
 
 def _check_samples(n: int) -> None:
@@ -323,46 +439,6 @@ def _check_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> None:
     _check_odd_harmonics(amplitudes)
 
 
-def _fill_grid(live: np.ndarray, scales, dc: float, n: int, spectrum, fundamental, grid) -> bool:
-    """The period grid of the live amplitudes (:func:`_live`: k = 1, then
-    the even k), written into the ``(rows, n)`` array ``grid`` with
-    :func:`_work_arrays` ``spectrum`` and ``fundamental``.  n must be even.
-    Returns False, and leaves the grid's second half period unwritten,
-    where every row's c_1 is zero: it would repeat the first then.
-    """
-    scales = np.asarray(scales, dtype=float)
-    # harmonic 2j is frequency j on the half grid
-    points = n // 2
-    placed = live[:, 1:]
-    _fold_one_sided(spectrum, placed, points)
-    # irfft (norm="forward") sums bin 0, the Nyquist bin and 2 Re of the rest;
-    # the bins above the last harmonic's, the Nyquist bin among them, hold 0.
-    # Each step runs in place on a view, with no copy back.
-    top = min(placed.shape[1], points // 2)
-    bin0, used = spectrum[:, 0], spectrum[:, : top + 1]
-    np.add(bin0, dc, out=bin0)
-    np.multiply(used, (0.5 * scales)[:, None], out=used)
-    np.multiply(bin0, 2.0, out=bin0)
-    if points % 2 == 0 and top == points // 2:
-        nyquist = spectrum[:, top]
-        np.multiply(nyquist, 2.0, out=nyquist)
-    np.fft.irfft(spectrum, points, axis=1, norm="forward", out=grid[:, :points])
-    c1 = (live[:, 0] * scales).tolist()
-    if not any(c1):
-        return False
-    # L_i = Re(c_1 w^i) for i < n/2, then E_i -+ L_i on both half periods,
-    # a row at a time: each half row is contiguous, and L stays in cache
-    cos, sin = _half_period_roots(n)
-    for c, row in zip(c1, grid):
-        low, high = row[:points], row[points:]
-        np.multiply(sin, c.imag, out=high)
-        np.multiply(cos, c.real, out=fundamental)
-        np.subtract(fundamental, high, out=fundamental)
-        np.subtract(low, fundamental, out=high)
-        np.add(low, fundamental, out=low)
-    return True
-
-
 def period_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray:
     """Outputs at ``t_i = i / (n fc)``, i = 0..n-1, for each row of ``amplitudes``.
 
@@ -374,19 +450,19 @@ def period_grid(amplitudes: np.ndarray, scales, dc: float, n: int) -> np.ndarray
     with ``L_i = Re(c_1 exp(j 2 pi i / n))``: E has period n/2, and
     ``L_(i + n/2) = -L_i``.  So one real inverse FFT of length n/2 gives E,
     with harmonic 2j folded into bin j of a one-sided spectrum
-    (:func:`_fold_one_sided`; the row scale and dc folded in too), and the
+    (:func:`_fold_pairs`; the row scale and dc folded in too), and the
     output is ``E_i + L_i`` and ``E_i - L_i`` on the two half periods.
     Harmonics alias exactly on the grid, so every even n >= 2 gives
     :func:`eval_filtered`'s values up to roundoff, and each row is bitwise
-    what it would be alone.  The result is a new array; the thread's
-    scratch arrays are left as they are.
+    what it would be alone.  The result is a new array, from a kernel of
+    its own: the thread's prepared kernels are left as they are.
     """
     _check_grid(amplitudes, scales, dc, n)
-    rows = amplitudes.shape[0]
-    grid = np.empty((rows, n))
-    if not _fill_grid(_live(amplitudes), scales, dc, n, *_work_arrays(rows, n), grid):
-        grid[:, n // 2 :] = grid[:, : n // 2]
-    return grid
+    kernel = _GridKernel(amplitudes.shape[1], np.empty((amplitudes.shape[0], n)))
+    _live(amplitudes, out=kernel.live)
+    if not kernel.fill(np.asarray(scales, dtype=float), dc):
+        kernel.grid[:, n // 2 :] = kernel.half
+    return kernel.grid
 
 
 def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
@@ -409,8 +485,9 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
     The factors ``(j k h)^p / p!`` at the live k are one matrix cached per
     K (:func:`_live_factors` at reach 1/2, which the polish of
     :func:`grid_extrema` reads at reach 1), so a block of rows takes one
-    product with the live amplitudes and one inverse FFT.  Blocks share one
-    set of work arrays, so a K = 1024 table peaks at ~1.4x its own size
+    product with the live amplitudes and one inverse FFT.  The blocks are
+    of equal size where the rows allow, and share one kernel that writes
+    into the table's rows, so a K = 1024 table peaks at ~1.4x its own size
     while built.
     """
     if np.ndim(amplitudes) != 1 or amplitudes.shape[0] < 1:
@@ -425,17 +502,25 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
     n = 1 << (4 * truncation - 1).bit_length()
     factors = _live_factors(truncation, n, 0.5)
     live = _live(amplitudes)
-    table = np.empty((factors.shape[0], n))
-    block = min(factors.shape[0], max(1, _TABLE_BLOCK_CELLS // n))
-    spectrum, fundamental = _work_arrays(block, n)
-    rows = np.empty((block, live.shape[0]), dtype=complex)
+    degrees = factors.shape[0]
+    table = np.empty((degrees, n))
+    # as few blocks of at most _TABLE_BLOCK_CELLS as fit, of equal size
+    # where the rows allow, so that one kernel serves every full block
+    count = -(-degrees // max(1, _TABLE_BLOCK_CELLS // n))
+    block = -(-degrees // count)
     ones = np.ones(block)
-    for start in range(0, factors.shape[0], block):
-        block_rows = table[start : start + block]
-        m = block_rows.shape[0]
-        np.multiply(live, factors[start : start + m], out=rows[:m])
-        if not _fill_grid(rows[:m], ones[:m], 0.0, n, spectrum[:m], fundamental, block_rows):
-            block_rows[:, n // 2 :] = block_rows[:, : n // 2]
+    kernel = None
+    for start in range(0, degrees, block):
+        rows = table[start : start + block]
+        m = rows.shape[0]
+        if kernel is None or kernel.live.shape[0] != m:
+            # a shorter last block takes a kernel of its own, built after
+            # the full blocks' one is dropped, so the two never coexist
+            kernel = None
+            kernel = _GridKernel(truncation, rows)
+        np.multiply(live, factors[start : start + m], out=kernel.live)
+        if not kernel.fill(ones[:m], 0.0, rows):
+            rows[:, n // 2 :] = rows[:, : n // 2]
     table.setflags(write=False)
     return table
 
@@ -579,38 +664,9 @@ def grid_extrema(
     """
     _check_grid(amplitudes, scales, dc, n)
     require_finite_positive("fc", fc)
-    return _grid_extrema(_live(amplitudes), scales, dc, fc, n, amplitudes.shape[1])
-
-
-def _grid_extrema(
-    live: np.ndarray, scales, dc: float, fc: float, n: int, truncation: int
-) -> tuple[list[float], list[float]]:
-    """:func:`grid_extrema` of the live amplitudes (:func:`_live`) of a
-    K = ``truncation`` series, with no argument checks but n's.
-
-    The grid goes into this thread's scratch grid; where every row's c_1 is
-    zero the extrema are read from its first half period alone, which the
-    second would repeat.
-    """
-    _check_samples(n)
-    rows = live.shape[0]
-    # this thread's scratch, which the next call overwrites
-    spectrum, fundamental, grid = _scratch(rows, n)
-    whole = _fill_grid(live, scales, dc, n, spectrum, fundamental, grid)
-    values = grid if whole else grid[:, : n // 2]
-    vmaxs, vmins = values.max(axis=1).tolist(), values.min(axis=1).tolist()
-    if (1.0 / fc) / n <= _POLISH_SPACING or n < 2 * truncation:
-        return vmaxs, vmins
-    # the first occurrence on the whole period, as the second half's copy
-    # of a full-wave row comes later
-    indices = [values.argmax(axis=1).tolist(), values.argmin(axis=1).tolist()]
-    coeffs = _local_polynomials(live, indices, n, truncation)
-    for r, scale in enumerate(np.asarray(scales, dtype=float).tolist()):
-        top = _newton_extremum(coeffs[r], 1.0)
-        bottom = _newton_extremum(coeffs[rows + r], -1.0)
-        vmaxs[r] = max(vmaxs[r], scale * (dc + top))
-        vmins[r] = min(vmins[r], scale * (dc + bottom))
-    return vmaxs, vmins
+    kernel = _prepared_kernel(amplitudes.shape[1], n, amplitudes.shape[0])
+    _live(amplitudes, out=kernel.live)
+    return kernel.extrema(scales, dc, fc)
 
 
 def _one_row(fs: FilteredSeries) -> tuple[np.ndarray, tuple[float], float]:

@@ -205,18 +205,19 @@ def test_sampled_ripple_is_bitwise_the_period_extrema_spread(
 
 
 def test_concurrent_sweeps_match_the_single_thread_rows():
-    # the period grid reuses scratch arrays; threads must never share them
+    # the period grid reuses prepared kernels; threads must never share them
     inputs = [
-        (HALF, RL, 1.0, FC, 1e8, 1e11, 50, "log"),
-        (FULL, 3.0, 0.5, 13.56e6, 1e6, 1e9, 20, "log"),
+        lambda: sweep_array(sweep_cutoff(HALF, RL, 1.0, FC, 1e8, 1e11, 50, "log")).tobytes(),
+        lambda: sweep_array(sweep_cutoff(FULL, 3.0, 0.5, 13.56e6, 1e6, 1e9, 20, "log")).tobytes(),
+        lambda: repr(optimize_capacitance(HALF, RL, 1.0, 13.56e6, 0.05)),
     ]
-    expected = [sweep_array(sweep_cutoff(*args)).tobytes() for args in inputs]
+    expected = [run() for run in inputs]
     mismatches, finished = [], []
 
     def worker(offset):
         for i in range(30):
-            which = (i + offset) % 2
-            if sweep_array(sweep_cutoff(*inputs[which])).tobytes() != expected[which]:
+            which = (i + offset) % len(inputs)
+            if inputs[which]() != expected[which]:
                 mismatches.append((offset, i))
         finished.append(offset)
 
@@ -233,6 +234,41 @@ def test_concurrent_sweeps_match_the_single_thread_rows():
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(finished) == [0, 1, 2, 3]
     assert mismatches == []
+
+
+def in_fresh_thread(run):
+    """``run()`` in a new thread, whose prepared kernels are all built anew."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(run()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return results[0]
+
+
+def test_reused_kernels_carry_no_state_between_calls():
+    # one thread's prepared kernels serve every call below, in turn and twice
+    # over, and each value must be bitwise what fresh kernels give.  Each
+    # (K, n) takes two shapes, one row and the sweep's blocks of eight, so the
+    # four kept shapes hold both n of one K when the next K starts.  Half and
+    # full wave alternate on each shape: a full-wave pass follows one that
+    # wrote the second half period.  At K = 3000 the fold mirrors a range and
+    # fills the Nyquist bin (n = 4096) or folds three ranges (n = 1024); n =
+    # 1024 is polished where K <= 512
+    filt = RcFilter.from_cutoff(RL, 3e9)
+    calls = []
+    for truncation in (1, 3, 256, 3000):
+        for samples in (1024, 4096):
+            for kind in (HALF, FULL):
+                calls.append(lambda k=kind, K=truncation, n=samples: (
+                    np.float64(sampled_ripple(k, filt, 1.0, FC, K, n)).tobytes()
+                ))
+                calls.append(lambda k=kind, K=truncation, n=samples: (
+                    sweep_array(sweep_cutoff(k, RL, 1.0, FC, 1e8, 1e11, 16, "log", K, n)).tobytes()
+                ))
+    reused = [run() for run in calls + calls]
+    fresh = [in_fresh_thread(run) for run in calls]
+    assert reused == fresh + fresh
 
 
 @pytest.mark.filterwarnings("error")
