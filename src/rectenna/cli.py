@@ -3,7 +3,9 @@
 All tables are emitted as CSV (default) or JSON with 9-significant-digit
 floats, so identical invocations produce byte-identical output.  A CSV table
 is built by one ``%``-format pass over its flattened cells, whose ``%.9g``
-gives exactly the digits of ``f"{v:.9g}"``.
+gives exactly the digits of ``f"{v:.9g}"``; a float array of at least
+``_G9_MIN_CELLS`` cells (a trace) is formatted to the same bytes in numpy
+by ``_g9_csv``.
 """
 
 from __future__ import annotations
@@ -61,24 +63,160 @@ def _json_value(value):
     return value
 
 
+# Float arrays of at least this many cells are formatted by _g9_csv.  Below
+# it the fixed cost of its numpy calls outweighs what it saves over %; see
+# ROADMAP "Measured and not pursued", vectorized %.9g, for the measurement
+_G9_MIN_CELLS = 512
+# cells per _g9_block.  Its (cells, 17) index array stays ~140 kB, and the
+# allocator reuses its arrays from one block to the next: formatted whole, a
+# 3001-row trace page-faulted ~70 times per call
+_G9_CHUNK = 1024
+# A cell's 20 source bytes, numbered 4 * w + b for byte b of its word w:
+# 0-3 digits 2-5, 4-7 digits 6-9, 8-11 the exponent's sign and three digits,
+# 12 the sign (or 0), 13 digit 1, 14 ".", 15 "0", 16 "e", 17 "," or "\n" and
+# 18-19 zero.  Word w of cell i of a block is cells[w, i], at byte
+# 4 * (w * _G9_CHUNK + i) of the block
+_G9_DIGITS = [13, 0, 1, 2, 3, 4, 5, 6, 7]
+_G9_SIGN, _G9_DOT, _G9_ZERO, _G9_E, _G9_SEP, _G9_PAD = 12, 14, 15, 16, 17, 18
+_G9_EXP = [8, 9, 10, 11]
+# word 3 with no sign and digit 1 "0": "0" | d is the digit d
+_G9_WORD3 = ord("0") << 8 | ord(".") << 16 | ord("0") << 24
+
+
+@functools.cache
+def _g9_tables():
+    """Lookup tables of _g9_block, built on first use.
+
+    Indexed by a 4-digit group: its ASCII digits as one word, and its count
+    of significant digits as digits 2-5 (1 + its own) and as digits 6-9
+    (5 + its own, 0 for 0000).  Indexed by exponent X + 400: the exponent
+    word, and the first of the 9 templates (one per count of significant
+    digits) of its notation: fixed where -4 <= X <= 8, else e-notation with
+    two exponent digits or three.  Indexed by X + 16: the exact factor and
+    divisor that scale |v| to [1e8, 1e9), a zero factor where |8 - X| > 22.
+    Then the 135 templates, the positions of the bytes a cell prints padded
+    to 17 with a zero byte, and each cell's offset from its block's first.
+    """
+    pair = np.arange(100)
+    two = pair // 10 + ord("0") | (pair % 10 + ord("0")) << 8  # "00".."99", 16 bits each
+    sig2 = np.where(pair % 10 > 0, 2, pair > 0)
+    significant = np.where(sig2 > 0, 2 + sig2, sig2[:, None]).ravel()
+    e = np.arange(-400, 401)
+    exp_words = np.where(e < 0, ord("-"), ord("+")) | (abs(e) // 100 + ord("0")) << 8
+    exp_words |= two[abs(e) % 100] << 16
+    first = np.where((e >= -4) & (e <= 8), 9 * (e + 4), 117 + 9 * (abs(e) >= 100)) - 1
+    xs = np.arange(-16, 32)
+    factor = np.where(abs(8 - xs) <= 22, 10.0 ** np.maximum(8 - xs, 0), 0.0)
+    divisor = 10.0 ** np.clip(xs - 8, 0, 22)
+    templates = np.full((135, 17), _G9_PAD)
+    d = _G9_DIGITS
+    for sig in range(1, 10):
+        point = [_G9_DOT, *d[1:sig]] if sig > 1 else []
+        for x in range(-4, 9):
+            if x >= 0:
+                cell = d[: x + 1] + ([_G9_DOT, *d[x + 1 : sig]] if sig > x + 1 else [])
+            else:
+                cell = [_G9_ZERO, _G9_DOT] + [_G9_ZERO] * (-x - 1) + d[:sig]
+            templates[first[400 + x] + sig, : len(cell) + 2] = [_G9_SIGN, *cell, _G9_SEP]
+        for x in (9, 100):  # e-notation, two exponent digits or three
+            exponent = _G9_EXP[:1] + _G9_EXP[2 if x < 100 else 1 :]
+            cell = [_G9_SIGN, d[0], *point, _G9_E, *exponent, _G9_SEP]
+            templates[first[400 + x] + sig, : len(cell)] = cell
+    return (
+        (two[:, None] | two << 16).astype("<u4").ravel(),
+        (1 + significant).astype(np.uint8),
+        np.where(significant > 0, 5 + significant, 0).astype(np.uint8),
+        exp_words.astype("<u4"),
+        first,
+        factor,
+        divisor,
+        (templates >> 2) * (4 * _G9_CHUNK) + (templates & 3),
+        np.repeat(np.arange(0, 4 * _G9_CHUNK, 4), 17).reshape(_G9_CHUNK, 17),
+    )
+
+
+def _g9_csv(table: np.ndarray) -> str:
+    """CSV lines of a finite float64 (rows, cols) array: the bytes of
+    ``(("%.9g," * (cols - 1) + "%.9g\\n") * rows) % tuple(cells)``.
+
+    Each cell's decimal exponent X comes from log10, and its 9-digit mantissa
+    from one scaling of |v| by an exact power of ten (10**22 at most).  That
+    product or quotient is correctly rounded, and below 2**30 every half
+    integer is a double, so rounding never crosses one: where the scaled
+    value lies in [1e8, 1e9) and is not itself a half integer, its rint is
+    the correctly rounded mantissa.  The other cells (at a half integer,
+    whose exact value may lie on either side; zero; beyond the exact powers'
+    reach; or where log10 is one off next to a power of ten) take both from
+    ``"%.8e"``, the same correctly rounded digits.  Each cell then gathers
+    its bytes through the template of its notation and significant digits,
+    and the zero pad bytes are dropped.
+    """
+    v, cols = table.ravel(), table.shape[1]
+    blocks = range(0, v.size, _G9_CHUNK)
+    return "".join(_g9_block(v[i : i + _G9_CHUNK], cols, -(i + 1) % cols) for i in blocks)
+
+
+def _g9_block(v: np.ndarray, cols: int, last: int) -> str:
+    """_g9_csv of at most _G9_CHUNK cells, ``last`` the first to end a row."""
+    words, mid_sig, low_sig, exp_words, first, factor, divisor, templates, offsets = (
+        _g9_tables()
+    )
+    a = np.abs(v)
+    # X + 16, clipped to 0..47; the factor is 0 where |8 - X| > 22
+    x = np.minimum(np.floor(np.log10(np.maximum(a, 1e-16))), 31.0).astype(np.intp) + 16
+    s = a * factor[x] / divisor[x]
+    x -= 16
+    m = np.rint(s)
+    slow = np.flatnonzero((s < 1e8) | (s >= 1e9) | (abs(s - m) == 0.5))
+    if slow.size:
+        texts = ["%.8e" % f for f in a[slow].tolist()]
+        m[slow] = [int(t[0] + t[2:10]) for t in texts]
+        x[slow] = [int(t[11:]) for t in texts]
+    carry = m == 1e9
+    if carry.any():
+        m[carry] = 1e8
+        x[carry] += 1
+    mantissa = m.astype(np.intp)
+    mid = mantissa // 10000
+    low = mantissa - 10000 * mid
+    lead = mid // 10000
+    mid -= 10000 * lead
+    n = v.size
+    cells = np.empty((5, _G9_CHUNK), "<u4")
+    words.take(mid, out=cells[0, :n])
+    words.take(low, out=cells[1, :n])
+    exp_words.take(x + 400, out=cells[2, :n])
+    cells[3, :n] = np.signbit(v) * ord("-") | lead << 8 | _G9_WORD3
+    cells[4] = ord("e") | ord(",") << 8
+    cells[4, last:n:cols] = ord("e") | ord("\n") << 8
+    pick = first[x + 400] + np.maximum(mid_sig[mid], low_sig[low])
+    index = templates.take(pick, axis=0)
+    index += offsets[:n]
+    return cells.view(np.uint8).ravel().take(index).tobytes().translate(None, b"\0").decode()
+
+
 def _emit(header: list[str], rows: Sequence[Sequence] | np.ndarray, args) -> None:
     # finite inputs can still overflow (fc or rl near the float maximum), so
     # every cell is checked before any --out file is opened.  An array (the
-    # trace table) is flattened and checked by one numpy call each; row
-    # sequences hold ints, bools and floats, all of which math.isfinite takes
-    if isinstance(rows, np.ndarray):
-        cells = rows.ravel().tolist()
+    # trace table) is checked by one numpy call; row sequences hold ints,
+    # bools and floats, all of which math.isfinite takes
+    array = isinstance(rows, np.ndarray)
+    if array:
         finite = bool(np.isfinite(rows).all())
-        float_table = rows.dtype.kind == "f"
     else:
         cells = list(itertools.chain.from_iterable(rows))
         finite = all(map(math.isfinite, cells))
-        float_table = False
     if not finite:
         raise ValueError("result is not finite; an input is out of range")
-    if args.format == "csv":
+    if args.format == "csv" and array and rows.dtype == np.float64 and rows.size >= _G9_MIN_CELLS:
+        # a large float table (a trace): the bytes of the % pass below, in numpy
+        text = ",".join(header) + "\n" + _g9_csv(rows)
+    elif args.format == "csv":
         # one %-format over all cells: "%.9g" is f"{v:.9g}" digit for digit, so
         # all-float columns are formatted in C; other columns go in as _fmt text
+        if array:
+            cells = rows.ravel().tolist()
+        float_table = array and rows.dtype.kind == "f"
         width = len(header)
         conversions = []
         for j in range(width):
@@ -152,6 +290,8 @@ def _cmd_trace(args) -> int:
         lo, hi, points, spacing = _parse_range(args.t)
         if spacing != "linear":
             raise ValueError("trace time grid must be linear")
+        if points < 1:
+            raise ValueError(f"--t needs at least 1 point, got {points}")
         ts = np.linspace(lo, hi, points)
     else:
         ts = np.arange(1024) * (2.0 / args.fc / 1024)
@@ -441,6 +581,11 @@ def main(argv=None) -> int:
             return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses an array that a point count or truncation makes too large
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: input too large to allocate{detail}", file=sys.stderr)
         return 2
 
 

@@ -327,6 +327,34 @@ def test_non_finite_or_unreachable_input_is_config_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["trace", "--cap", "1e-10", "--t", "0:1e-9:1000000000000"],
+        ["sweep", "--fcut", "1e8:1e11:1000000000000:log"],
+        ["multisine-a0", "--df", "1:1e6:1000000000000"],
+        ["design", "--budget", "0.1", "--truncation", "1000000000000"],
+        ["coeffs", "--k-max", "1000000000000"],
+    ],
+)
+def test_unallocatable_input_size_is_config_error(capsys, argv):
+    # 1e12 points or harmonics: numpy refuses the ~7 TiB array before
+    # touching any memory, and the CLI reports it instead of a traceback
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input too large to allocate: Unable to allocate ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("points", [0, -2])
+def test_trace_point_count_below_one_names_the_option(capsys, points):
+    code, out, err = run_cli(capsys, ["trace", "--cap", "1e-10", "--t", f"0:1e-9:{points}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --t needs at least 1 point, got {points}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["multisine-a0", "--df", "1e300", "--fc", "1e308"],  # printed a0_quad = 0, exit 0
         ["coeffs", "--k-max", "2", "--fc", "1e308"],
         ["coeffs", "--k-max", "2", "--fc", "1e-310"],
@@ -403,6 +431,17 @@ def _emit_text(header, rows, output_format="csv", output_path=None):
     return out.getvalue()
 
 
+def _assert_same_text(got, want):
+    # names the first differing line: pytest's own diff of a long table takes
+    # seconds, once per example while hypothesis shrinks
+    if got != want:
+        lines = list(zip(got.splitlines(), want.splitlines()))
+        bad = next((i for i, (g, w) in enumerate(lines) if g != w), None)
+        if bad is None:
+            pytest.fail(f"{len(got)} characters != {len(want)}, lines equal as far as both go")
+        pytest.fail(f"line {bad}: {lines[bad][0]!r} != {lines[bad][1]!r}")
+
+
 EDGE_FLOATS = [-0.0, 5e-324, 1e308, 1.0, 1e16, 123456789.5]
 CELLS = {
     "float": st.one_of(
@@ -411,25 +450,43 @@ CELLS = {
     "int": st.integers(-(2**63), 2**63),
     "bool": st.booleans(),
 }
+# float arrays of at least this many cells take the vectorized CSV formatter
+CROSSOVER = rectenna.cli._G9_MIN_CELLS
+# row counts either side of the crossover: up to 40, or around it for widths 1-6
+ROW_COUNTS = st.one_of(st.integers(0, 40), st.integers(CROSSOVER // 6 - 2, CROSSOVER + 2))
+
+
+def _repeated(draw, element, count, limit=40):
+    # count drawn elements; past what hypothesis can draw, a drawn pattern of
+    # up to limit repeated in a drawn order
+    if count <= limit:
+        return draw(st.lists(element, min_size=count, max_size=count))
+    pattern = draw(st.lists(element, min_size=1, max_size=limit))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(count)
+    return [pattern[i % len(pattern)] for i in order.tolist()]
 
 
 @st.composite
-def tables(draw):
+def tables(draw, row_counts=st.integers(0, 40)):
     kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6))
-    rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=40))
+    rows = _repeated(draw, st.tuples(*(CELLS[k] for k in kinds)), draw(row_counts))
     return [f"c{j}" for j in range(len(kinds))], rows
 
 
 @settings(max_examples=200, deadline=None)
-@given(table=tables())
+@given(table=tables(ROW_COUNTS))
 @example(table=(["a", "b"], [(v, i) for i, v in enumerate(EDGE_FLOATS)]))
 @example(table=(["a", "b", "c"], []))
 def test_emit_csv_matches_cell_by_cell_formatting(table):
     header, rows = table
     text = _emit_text(header, rows)
-    assert text == _emit_reference(header, rows)
+    _assert_same_text(text, _emit_reference(header, rows))
     if not rows:
         assert text == ",".join(header) + "\n"
+    elif all(type(v) is float for v in rows[0]):
+        # the same float cells as an array: below the crossover the % pass,
+        # at or above it the vectorized formatter
+        _assert_same_text(_emit_text(header, np.array(rows, dtype=float)), text)
 
 
 @settings(max_examples=100, deadline=None)
@@ -452,19 +509,21 @@ def test_emit_rejects_non_finite_cell_before_opening_output(table, bad, where):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    rows=st.integers(0, 40),
+    rows=st.one_of(st.integers(0, 40), st.integers(CROSSOVER // 4 - 2, CROSSOVER + 2)),
     width=st.integers(1, 4),
     data=st.data(),
 )
 def test_emit_takes_a_float_array_as_its_rows(rows, width, data):
     # a trace table arrives as an (N, width) array and must print exactly as
-    # the same cells given as rows of Python floats
-    values = data.draw(st.lists(CELLS["float"], min_size=rows * width, max_size=rows * width))
+    # the same cells given as rows of Python floats; with widths 1-4 the large
+    # row counts put tables on both sides of the crossover
+    values = _repeated(data.draw, CELLS["float"], rows * width, limit=160)
     table = np.array(values, dtype=float).reshape(rows, width)
     header = [f"c{j}" for j in range(width)]
     for output_format in ("csv", "json"):
-        assert _emit_text(header, table, output_format) == _emit_text(
-            header, table.tolist(), output_format
+        _assert_same_text(
+            _emit_text(header, table, output_format),
+            _emit_text(header, table.tolist(), output_format),
         )
     if rows:
         bad = table.copy()
@@ -477,6 +536,61 @@ def test_emit_takes_a_float_array_as_its_rows(rows, width, data):
                 with pytest.raises(ValueError):
                     _emit_text(header, bad, output_format, str(target))
                 assert not target.exists()
+
+
+def _decimal_ties(rng, count):
+    # the doubles nearest 9-digit decimals followed by a 5: their scaled
+    # values lie within rounding error of the tie
+    digits = rng.integers(10**8, 10**9, count)
+    exponents = rng.integers(-30, 40, count)
+    return [float(f"{d // 10**8}.{d % 10**8:08d}5e{e}") for d, e in zip(digits, exponents)]
+
+
+def test_vectorized_csv_matches_cell_by_cell_formatting_on_hard_cells():
+    rng = np.random.default_rng(20261020)
+    patterns = rng.integers(0, 2**64, 120_000, dtype=np.uint64).view(np.float64)
+    powers = 10.0 ** np.arange(-323, 309)
+    edges = [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        123456789.5, 123456788.5, 0.5, 1.5, 2.5, 999999999.5, 999999999.4999999,
+        999999999.7, 9.9999999996, 0.099999999996, 9999999999.6, 99999.99995,
+        1e-4, 1e-5, 9.9999999995e-5, 9.99999999949e-5, 1e8, 1e9, 99999999.95, 999999999.0,
+        1e22, 1e23, 9.999999995e22, 1e-14, 1e-15, 1e30, 1e31, 9.9999999996e30,
+        1e100, 1e-100, 9.9999999996e99, 1e-99, 1.5e-323,
+    ]
+    cells = np.concatenate([
+        patterns[np.isfinite(patterns)],
+        rng.standard_normal(40_000) * 10.0 ** rng.uniform(-20, 35, 40_000),
+        _decimal_ties(rng, 20_000),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        edges, np.negative(edges),
+    ])
+    assert cells.size >= 100_000 + 60_000
+    # every cell in each column position, and rows longer than a block
+    for width in (1, 2, 3):
+        table = cells[: cells.size // width * width].reshape(-1, width)
+        header = [f"c{j}" for j in range(width)]
+        _assert_same_text(_emit_text(header, table), _emit_reference(header, table.tolist()))
+    wide = cells[: 3 * rectenna.cli._G9_CHUNK].reshape(2, -1)
+    header = ["c"] * wide.shape[1]
+    _assert_same_text(_emit_text(header, wide), _emit_reference(header, wide.tolist()))
+
+
+def test_emit_formats_float_arrays_from_the_crossover_in_numpy(monkeypatch):
+    # below the crossover, row sequences and JSON keep the % pass
+    calls = []
+    formatter = rectenna.cli._g9_csv
+
+    def counted(table):
+        calls.append(table.shape)
+        return formatter(table)
+
+    monkeypatch.setattr(rectenna.cli, "_g9_csv", counted)
+    table = np.linspace(-1.0, 1.0, CROSSOVER).reshape(-1, 2)
+    for rows, output_format in ((table, "csv"), (table[:-1], "csv"), (table.tolist(), "csv"),
+                                (table, "json")):
+        _emit_text(["a", "b"], rows, output_format)
+    assert calls == [table.shape]
 
 
 # stdout SHA-256 of each command, recorded before the FFT period-grid engine
