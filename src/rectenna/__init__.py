@@ -11,7 +11,6 @@ DC-vs-ripple trade-off.
 
 from .design import (
     DesignResult,
-    SweepRow,
     analytic_ripple,
     make_grid,
     optimize_capacitance,
@@ -38,7 +37,6 @@ from .rcfilter import (
     filtered_series,
     max_ripple,
     period_extrema,
-    period_samples,
     ripple_peak,
 )
 from .rectifier import (
@@ -63,7 +61,6 @@ __all__ = [
     "RcFilter",
     "RectifierKind",
     "SampleStats",
-    "SweepRow",
     "amplification_factor",
     "analytic_ripple",
     "build_series",
@@ -79,7 +76,6 @@ __all__ = [
     "multisine_a0",
     "optimize_capacitance",
     "period_extrema",
-    "period_samples",
     "quad_b_coefficient",
     "quad_coefficient",
     "quad_multisine_a0",

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import oracle
-from .design import DEFAULT_SAMPLES, _sweep_table, make_grid, optimize_capacitance, time_trace
+from .design import make_grid, optimize_capacitance, sweep_cutoff, time_trace
 from .rcfilter import (
     RcFilter,
     amplification_factor,
@@ -241,14 +241,17 @@ def _emit(header: list[str], rows: Sequence[Sequence] | np.ndarray, args) -> Non
         sys.stdout.write(text)
 
 
-def _parse_range(text: str) -> tuple[float, float, int, str]:
-    """Parse ``min:max:points[:log]`` sweep syntax."""
+def _parse_range(option: str, text: str) -> tuple[float, float, int, str]:
+    """Parse ``min:max:points[:log]`` sweep syntax given to ``option``."""
     parts = text.split(":")
-    if len(parts) not in (3, 4):
-        raise ValueError(f"expected min:max:points[:log], got {text!r}")
-    # the spacing is passed on as given: make_grid refuses a bad one
-    spacing = parts[3] if len(parts) == 4 else "linear"
-    return float(parts[0]), float(parts[1]), int(parts[2]), spacing
+    try:
+        if len(parts) in (3, 4):
+            # the spacing is passed on as given: make_grid refuses a bad one
+            spacing = parts[3] if len(parts) == 4 else "linear"
+            return float(parts[0]), float(parts[1]), int(parts[2]), spacing
+    except ValueError:
+        pass
+    raise ValueError(f"{option} expects min:max:points[:log], got {text!r}")
 
 
 def _filter_from_args(args) -> RcFilter:
@@ -272,7 +275,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_multisine_a0(args) -> int:
     if ":" in args.df:
-        lo, hi, points, spacing = _parse_range(args.df)
+        lo, hi, points, spacing = _parse_range("--df", args.df)
         dfs = make_grid(lo, hi, points, spacing)
     else:
         dfs = np.array([float(args.df)])
@@ -287,7 +290,7 @@ def _cmd_multisine_a0(args) -> int:
 def _cmd_trace(args) -> int:
     filt = _filter_from_args(args)
     if args.t is not None:
-        lo, hi, points, spacing = _parse_range(args.t)
+        lo, hi, points, spacing = _parse_range("--t", args.t)
         if spacing != "linear":
             raise ValueError("trace time grid must be linear")
         if points < 1:
@@ -301,15 +304,13 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    lo, hi, points, spacing = _parse_range(args.fcut)
-    # sweep_cutoff's checked columns, as one (points, 6) float table
-    table = _sweep_table(
-        args.kind, args.rl, args.amplitude, args.fc, lo, hi, points, spacing, args.truncation,
-        DEFAULT_SAMPLES,
+    lo, hi, points, spacing = _parse_range("--fcut", args.fcut)
+    table = sweep_cutoff(
+        args.kind, args.rl, args.amplitude, args.fc, lo, hi, points, spacing, args.truncation
     )
     _emit(
         ["f_cut_hz", "tau_s", "cap_f", "v_dc_v", "ripple_analytic_v", "ripple_sampled_v"],
-        table.T,
+        table,
         args,
     )
     return 0
@@ -387,10 +388,7 @@ def _validation_checks(fc: float, k_max: int):
         amp = float(rng.uniform(0.2, 3.0))
         scale = amplification_factor(filt, fc) * amp
         fs = filtered_series(build_series(full, 256, scale=scale, fc=fc), filt)
-        # only the mean is read, so the argmax is left unrefined
-        stats = oracle.sample_stats(
-            lambda t: eval_filtered(fs, t), 1.0 / fc, 8192, refine_argmax=False
-        )
+        stats = oracle.sample_stats(lambda t: eval_filtered(fs, t), 1.0 / fc, 8192)
         ref = dc_voltage(full, filt, amp, fc)
         dcerr = max(dcerr, abs(stats.mean - ref) / abs(ref))
     yield "dc_equals_sampled_mean", dcerr < 1e-9, f"max rel err={dcerr:.3e}"
@@ -445,11 +443,7 @@ def _validation_checks(fc: float, k_max: int):
     yield "series_tail_bound", ok, " ".join(detail)
 
     herr = max(
-        abs(
-            oracle.sample_stats(
-                lambda t, k=k: np.cos(2 * np.pi * k * t), 1.0, 4 * k * 8, refine_argmax=False
-            ).mean
-        )
+        abs(oracle.sample_stats(lambda t, k=k: np.cos(2 * np.pi * k * t), 1.0, 4 * k * 8).mean)
         for k in (1, 3, 8)
     )
     yield "harmonic_sample_mean_zero", herr < 1e-12, f"max|mean|={herr:.3e}"

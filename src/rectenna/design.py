@@ -35,7 +35,6 @@ from .rectifier import (
 )
 
 __all__ = [
-    "SweepRow",
     "DesignResult",
     "RIPPLE_METRICS",
     "sampled_ripple",
@@ -77,18 +76,6 @@ _SLACK_STEPS = 3
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One cut-off grid point: filter parameters, DC voltage, both ripples."""
-
-    cutoff: float
-    tau: float
-    capacitance: float
-    v_dc: float
-    ripple_analytic: float
-    ripple_sampled: float
-
-
-@dataclass(frozen=True)
 class DesignResult:
     """Chosen capacitance under a ripple budget."""
 
@@ -111,8 +98,9 @@ def sampled_ripple(
     """Peak-to-peak of the filter output over one carrier period, sampled.
 
     Bitwise the :func:`period_extrema` spread of the output series, as one
-    row of a sweep: no series object is built.  Refuses an output that may
-    overflow (``ValueError``).
+    row of a sweep: no series object is built.  So both extrema are
+    Newton-polished where the grid is coarser than 1e-12 s.  Refuses an
+    output that may overflow (``ValueError``).
     """
     require_finite_positive("amplitude", amplitude)
     require_finite_positive("fc", fc)
@@ -188,9 +176,11 @@ def sweep_cutoff(
     spacing: str = "linear",
     truncation: int = DEFAULT_TRUNCATION,
     samples: int = DEFAULT_SAMPLES,
-) -> list[SweepRow]:
+) -> np.ndarray:
     """Tabulate DC voltage and ripple on a cut-off frequency grid.
 
+    Returns a float64 ``(points, 6)`` array whose row i is ``(cutoff, tau,
+    capacitance, v_dc, ripple_analytic, ripple_sampled)``, the CSV's columns.
     Each row is bitwise what :meth:`RcFilter.from_cutoff`,
     :func:`dc_voltage`, :func:`analytic_ripple` and :func:`sampled_ripple`
     give at its cut-off.  Every per-cut-off quantity is a column formed in
@@ -202,20 +192,6 @@ def sweep_cutoff(
     Refuses what :meth:`RcFilter.from_cutoff` refuses, with its message,
     and a table with a value that is not finite (``ValueError``).
     """
-    table = _sweep_table(
-        kind, resistance, amplitude, fc, cutoff_min, cutoff_max, n_points, spacing, truncation,
-        samples,
-    )
-    return list(map(SweepRow, *table.tolist()))
-
-
-def _sweep_table(
-    kind, resistance, amplitude, fc, cutoff_min, cutoff_max, n_points, spacing, truncation, samples
-) -> np.ndarray:
-    # the SweepRow fields as the rows of one checked (6, points) array, which
-    # the CLI formats with no row objects.  Each column repeats its scalar
-    # twin's operations in order (from_cutoff, tau, _amplification,
-    # dc_voltage), so each entry is bitwise the per-point one
     require_finite_positive("amplitude", amplitude)
     require_finite_positive("fc", fc)
     require_finite_positive("cutoff_min", cutoff_min)
@@ -250,7 +226,7 @@ def _sweep_table(
         table = np.array((cutoffs, taus, capacitances, v_dcs, peaks - v_dcs, ripples))
     if not np.isfinite(table).all():
         raise ValueError("result is not finite; an input is out of range")
-    return table
+    return table.T
 
 
 def optimize_capacitance(

@@ -44,8 +44,6 @@ _GAUSS_ORDER = 32
 # panels per block of the coefficient quadrature: its working arrays hold
 # block x harmonics entries, whatever the node count
 _BLOCK_PANELS = 64
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_ARGMAX_RESOLUTION = 1e-12  # seconds
 
 
 @lru_cache(maxsize=None)
@@ -315,50 +313,13 @@ class SampleStats:
     max: float
     min: float
     peak_to_peak: float
-    argmax_t: float
 
 
-def _golden_maximize(f: Callable, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # far from t = 0 adjacent floats can sit more than tol apart (t > ~4e3 s
-    # for 1e-12 s); stop at a few float spacings there instead of looping
-    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc_, fd = float(f(c)), float(f(d))
-    while b - a > tol:
-        if fc_ >= fd:
-            b, d, fd = d, c, fc_
-            c = b - _GOLDEN * (b - a)
-            fc_ = float(f(c))
-        else:
-            a, c, fc_ = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = float(f(d))
-    x = 0.5 * (a + b)
-    return x, float(f(x))
-
-
-def _sharpen_max(f: Callable, t: float, value: float, spacing: float) -> tuple[float, float]:
-    """Sharpen a sampled maximum ``value = f(t)`` on a grid of ``spacing``.
-
-    Golden-section search over ``[t - spacing, t + spacing]`` down to 1e-12 s,
-    skipped when the grid is already that fine; returns the better
-    ``(value, t)``.
-    """
-    if spacing > _ARGMAX_RESOLUTION:
-        x, fx = _golden_maximize(f, t - spacing, t + spacing, _ARGMAX_RESOLUTION)
-        if fx > value:
-            return fx, x
-    return value, t
-
-
-def sample_stats(f: Callable, period: float, n: int, refine_argmax: bool = True) -> SampleStats:
+def sample_stats(f: Callable, period: float, n: int) -> SampleStats:
     """Mean/extrema of ``f`` on ``n`` uniform samples over ``[0, period)``.
 
-    The discrete argmax is sharpened by a golden-section search in its
-    one-sample neighbourhood down to 1e-12 s (skipped when the grid is
-    already finer than that).  ``f`` may be vectorized or scalar-only.
+    The extrema are the samples' own, with no search between samples.
+    ``f`` may be vectorized or scalar-only.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
@@ -369,16 +330,11 @@ def sample_stats(f: Callable, period: float, n: int, refine_argmax: bool = True)
     if values.shape != ts.shape:
         values = np.array([float(f(t)) for t in ts])
     mean = float(values.mean())
-    idx = int(np.argmax(values))
-    vmax = float(values[idx])
+    vmax = float(values.max())
     vmin = float(values.min())
-    argmax_t = float(ts[idx])
-    if refine_argmax:
-        vmax, argmax_t = _sharpen_max(f, argmax_t, vmax, period / n)
     return SampleStats(
         mean=mean,
         max=vmax,
         min=vmin,
         peak_to_peak=vmax - vmin,
-        argmax_t=argmax_t,
     )

@@ -30,14 +30,14 @@ coefficient row cached per K and per (kind, K), into a denominator whose
 real part is preset to 1; they skip the public functions' argument checks
 and build no series object.  So a design solve's evaluations after the
 first allocate no buffer of the grid's size.  The aligned-phase peaks
-(:func:`ripple_peak`) sum the live k too.  :func:`period_samples` and
-:func:`period_extrema` are the one-row case.  Where that grid is coarser
-than 1e-12 s, :func:`grid_extrema` Newton-polishes both its extrema on the
-exact trig polynomial, with one stacked product for the Taylor
-coefficients of every row's argmax and argmin; finer grids keep their grid
-extrema.  Where c_1 is zero (the full wave) only the first half period is
-written and read, so a full-wave pass never reads a second half that an
-earlier pass on the same kernel left behind.
+(:func:`ripple_peak`) sum the live k too.  :func:`period_extrema` is the
+one-row case.  Where that grid is coarser than 1e-12 s, :func:`grid_extrema`
+Newton-polishes both its extrema on the exact trig polynomial, with one
+stacked product for the Taylor coefficients of every row's argmax and
+argmin; finer grids keep their grid extrema.  Where c_1 is zero (the full
+wave) only the first half period is written and read, so a full-wave pass
+never reads a second half that an earlier pass on the same kernel left
+behind.
 :func:`eval_filtered` serves arbitrary times from a Taylor table
 (:func:`taylor_table`): one period grid whose D + 1 rows are the series'
 first D + 1 Taylor coefficients at every grid phase, built once per series.
@@ -75,7 +75,6 @@ __all__ = [
     "taylor_table",
     "period_grid",
     "grid_extrema",
-    "period_samples",
     "period_extrema",
     "dc_voltage",
     "ripple_peak",
@@ -669,23 +668,16 @@ def grid_extrema(
     return kernel.extrema(scales, dc, fc)
 
 
-def _one_row(fs: FilteredSeries) -> tuple[np.ndarray, tuple[float], float]:
-    # the series as a one-row block: amplitudes, scales and dc for period_grid
-    return fs.amplitudes[None, :], (fs.base.scale,), 0.5 * fs.base.a0 * fs.filt.resistance
-
-
-def period_samples(fs: FilteredSeries, n: int) -> np.ndarray:
-    """The output at ``t_i = i / (n fc)``, i = 0..n-1: :func:`period_grid` of one row."""
-    return period_grid(*_one_row(fs), n)[0]
-
-
 def period_extrema(fs: FilteredSeries, n: int) -> tuple[float, float]:
     """Max and min of the output over one carrier period, from n samples.
 
-    :func:`grid_extrema` of one row: both are Newton-polished where the grid
-    is coarser than 1e-12 s, and are the grid's elsewhere.
+    :func:`grid_extrema` of the series as one row: both are Newton-polished
+    where the grid is coarser than 1e-12 s, and are the grid's elsewhere.
     """
-    (vmax,), (vmin,) = grid_extrema(*_one_row(fs), fs.base.fundamental_fc, n)
+    dc = 0.5 * fs.base.a0 * fs.filt.resistance
+    (vmax,), (vmin,) = grid_extrema(
+        fs.amplitudes[None, :], (fs.base.scale,), dc, fs.base.fundamental_fc, n
+    )
     return vmax, vmin
 
 

@@ -165,10 +165,21 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_bad_range_syntax_is_config_error(capsys):
-    code, _, err = run_cli(capsys, ["sweep", "--fcut", "1e8-1e11-20"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--fcut", "1e8-1e11-20"],
+        ["sweep", "--fcut", "1e8:1e11:5e1:log"],  # a point count that is not an int
+        ["multisine-a0", "--df", "1:x:3"],  # a bound that is not a float
+        ["trace", "--cap", "1e-10", "--t", "0:1e-9:10:log:x"],  # five parts
+    ],
+)
+def test_bad_range_syntax_is_config_error(capsys, argv):
+    # the refusal names the option and the text given to it
+    code, out, err = run_cli(capsys, argv)
     assert code == 2
-    assert "error" in err
+    assert out == ""
+    assert err == f"error: {argv[-2]} expects min:max:points[:log], got {argv[-1]!r}\n"
 
 
 @pytest.mark.parametrize("spacing", ["lin", "Log", ""])
@@ -600,9 +611,9 @@ def test_emit_formats_float_arrays_from_the_crossover_in_numpy(monkeypatch):
 # next three (a 3001-row trace on an unaligned window, a table with an int
 # column, and JSON output) were recorded before CSV tables were built by one
 # %-format pass.  The last two (a JSON trace, and validate at 13.56 MHz, whose
-# sampled mean and golden-section search run the evaluator on 8192-point
-# arrays and on scalars) were recorded before the trace table became an array
-# and the Horner kernel began to reuse its buffers.  Two were re-recorded when
+# sampled mean runs the evaluator on 8192-point arrays) were recorded before
+# the trace table became an array and the Horner kernel began to reuse its
+# buffers.  Two were re-recorded when
 # a Taylor table replaced the Horner kernel and the filter amplitudes became
 # a_k R / (1 + j wt): the half-wave 13.56 MHz trace, whose near-zero rows
 # print 9 digits below the evaluator's ~1e-16 absolute accuracy (54 of 3001

@@ -41,36 +41,36 @@ RL = 2.0
 
 def test_sweep_reproduces_saturation():
     rows = sweep_cutoff(FULL, RL, 1.0, FC, 1e8, 1e11, 50, "log", samples=1024)
-    assert len(rows) == 50
-    v = np.array([r.v_dc for r in rows])
+    assert rows.dtype == np.float64 and rows.shape == (50, 6)
+    cutoffs, v = rows[:, 0], rows[:, 3]
     assert np.all(np.diff(v) > 0)
     high = dc_limits(FULL, RL, 1.0)[1]
     assert v[-1] > 0.99 * high
-    assert all(r.cutoff <= s.cutoff for r, s in zip(rows, rows[1:]))
+    assert np.all(cutoffs[:-1] <= cutoffs[1:])
 
 
 def test_sweep_half_wave_is_exactly_half():
     kwargs = dict(samples=512)
     full_rows = sweep_cutoff(FULL, RL, 1.0, FC, 1e8, 1e10, 8, "log", **kwargs)
     half_rows = sweep_cutoff(HALF, RL, 1.0, FC, 1e8, 1e10, 8, "log", **kwargs)
-    for fr, hr in zip(full_rows, half_rows):
-        assert hr.v_dc == 0.5 * fr.v_dc
+    for fr, hr in zip(full_rows.tolist(), half_rows.tolist()):
+        assert hr[3] == 0.5 * fr[3]
 
 
 def test_sweep_rows_respect_bounds():
     rows = sweep_cutoff(FULL, RL, 1.0, FC, 1e8, 1e10, 10, "log", samples=512)
     low, high = dc_limits(FULL, RL, 1.0)
-    for row in rows:
-        assert low < row.v_dc < high
-        assert row.ripple_sampled >= 0.0
-        assert row.tau == pytest.approx(1.0 / (2 * math.pi * row.cutoff), rel=1e-12)
-        assert row.capacitance == pytest.approx(row.tau / RL, rel=1e-12)
+    for cutoff, tau, capacitance, v_dc, _, ripple_sampled in rows.tolist():
+        assert low < v_dc < high
+        assert ripple_sampled >= 0.0
+        assert tau == pytest.approx(1.0 / (2 * math.pi * cutoff), rel=1e-12)
+        assert capacitance == pytest.approx(tau / RL, rel=1e-12)
 
 
 def test_sweep_two_point_case():
     rows = sweep_cutoff(FULL, RL, 1.0, FC, 5e8, 1e9, 2, "linear", samples=512)
     assert len(rows) == 2
-    assert rows[0].v_dc < rows[1].v_dc
+    assert rows[0, 3] < rows[1, 3]
 
 
 @pytest.mark.parametrize(
@@ -100,8 +100,8 @@ def test_sweep_smaller_carrier_converges_faster():
     fast = sweep_cutoff(FULL, RL, 1.0, FC, **grid)
     slow = sweep_cutoff(FULL, RL, 1.0, FC / 2, **grid)
     high = dc_limits(FULL, RL, 1.0)[1]
-    for f_row, s_row in zip(fast, slow):
-        assert s_row.v_dc / high > f_row.v_dc / high
+    for f_row, s_row in zip(fast.tolist(), slow.tolist()):
+        assert s_row[3] / high > f_row[3] / high
 
 
 def per_point_rows(kind, resistance, amplitude, fc, cutoffs, truncation, samples):
@@ -118,13 +118,6 @@ def per_point_rows(kind, resistance, amplitude, fc, cutoffs, truncation, samples
             sampled_ripple(kind, filt, amplitude, fc, truncation, samples),
         ))
     return np.array(rows)
-
-
-def sweep_array(rows):
-    return np.array([
-        (r.cutoff, r.tau, r.capacitance, r.v_dc, r.ripple_analytic, r.ripple_sampled)
-        for r in rows
-    ])
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +159,7 @@ def test_blocked_sweep_is_bitwise_the_per_point_metrics(
     )
     cutoffs = make_grid(lo, hi, n_points, spacing).tolist()
     expected = per_point_rows(kind, resistance, amplitude, fc, cutoffs, truncation, samples)
-    assert sweep_array(rows).tobytes() == expected.tobytes()
+    assert rows.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -207,8 +200,8 @@ def test_sampled_ripple_is_bitwise_the_period_extrema_spread(
 def test_concurrent_sweeps_match_the_single_thread_rows():
     # the period grid reuses prepared kernels; threads must never share them
     inputs = [
-        lambda: sweep_array(sweep_cutoff(HALF, RL, 1.0, FC, 1e8, 1e11, 50, "log")).tobytes(),
-        lambda: sweep_array(sweep_cutoff(FULL, 3.0, 0.5, 13.56e6, 1e6, 1e9, 20, "log")).tobytes(),
+        lambda: sweep_cutoff(HALF, RL, 1.0, FC, 1e8, 1e11, 50, "log").tobytes(),
+        lambda: sweep_cutoff(FULL, 3.0, 0.5, 13.56e6, 1e6, 1e9, 20, "log").tobytes(),
         lambda: repr(optimize_capacitance(HALF, RL, 1.0, 13.56e6, 0.05)),
     ]
     expected = [run() for run in inputs]
@@ -264,7 +257,7 @@ def test_reused_kernels_carry_no_state_between_calls():
                     np.float64(sampled_ripple(k, filt, 1.0, FC, K, n)).tobytes()
                 ))
                 calls.append(lambda k=kind, K=truncation, n=samples: (
-                    sweep_array(sweep_cutoff(k, RL, 1.0, FC, 1e8, 1e11, 16, "log", K, n)).tobytes()
+                    sweep_cutoff(k, RL, 1.0, FC, 1e8, 1e11, 16, "log", K, n).tobytes()
                 ))
     reused = [run() for run in calls + calls]
     fresh = [in_fresh_thread(run) for run in calls]
@@ -278,11 +271,11 @@ def test_blocked_sweep_takes_exact_zero_tau_rows():
     # and the overflow is no warning, as the result is finite
     lo, hi = 1e306, 1.7e308
     rows = sweep_cutoff(FULL, RL, 1.0, FC, lo, hi, 11, "log", 64, 256)
-    assert [r.tau > 0.0 for r in rows] == [True] * 6 + [False] * 5
+    assert (rows[:, 1] > 0.0).tolist() == [True] * 6 + [False] * 5
     cutoffs = make_grid(lo, hi, 11, "log").tolist()
     expected = per_point_rows(FULL, RL, 1.0, FC, cutoffs, 64, 256)
-    assert sweep_array(rows).tobytes() == expected.tobytes()
-    assert rows[-1].v_dc == dc_limits(FULL, RL, 1.0)[1]
+    assert rows.tobytes() == expected.tobytes()
+    assert rows[-1, 3] == dc_limits(FULL, RL, 1.0)[1]
 
 
 @pytest.mark.parametrize(
@@ -324,8 +317,8 @@ def test_per_point_functions_refuse_an_overflowing_output(function, kind):
 
 def test_long_sweep_forms_its_matrices_a_chunk_at_a_time():
     # a (10000, 256) attenuation matrix alone would take 20 MB.  Measured
-    # with Python 3.11, the 10,000 rows hold 2.7 MB and the sweep peaks
-    # 1.0 MB above them; the bound leaves 1 MB of slack
+    # with Python 3.11, the 10,000-row table holds 0.46 MB and the sweep
+    # peaks 0.85 MB above it; the bound leaves over 1 MB of slack
     args = (FULL, RL, 1.0, FC, 1e6, 1e12)
     sweep_cutoff(*args, 16, "log")  # fills the caches and scratch arrays
     tracemalloc.start()

@@ -277,20 +277,8 @@ def test_sample_stats_rejects_bad_arguments():
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_single_harmonic_mean_vanishes(k):
-    stats = sample_stats(lambda t: np.cos(2 * np.pi * k * t), 1.0, 4 * k * 16,
-                         refine_argmax=False)
+    stats = sample_stats(lambda t: np.cos(2 * np.pi * k * t), 1.0, 4 * k * 16)
     assert abs(stats.mean) < 1e-12
-
-
-def test_argmax_refinement_localizes_peak():
-    # localization near a smooth peak is flatness-limited to ~sqrt(eps);
-    # the point is that it beats the raw grid spacing (1/64) by far
-    stats = sample_stats(lambda t: np.cos(2 * np.pi * (t - 0.3)), 1.0, 64)
-    assert stats.argmax_t == pytest.approx(0.3, abs=1e-7)
-    assert stats.max == pytest.approx(1.0, abs=1e-12)
-    coarse = sample_stats(lambda t: np.cos(2 * np.pi * (t - 0.3)), 1.0, 64,
-                          refine_argmax=False)
-    assert abs(stats.argmax_t - 0.3) < abs(coarse.argmax_t - 0.3)
 
 
 def test_sample_stats_unfiltered_output_extrema():
@@ -302,14 +290,6 @@ def test_sample_stats_unfiltered_output_extrema():
     peak = 2.0 * math.sqrt(2.0)
     assert stats.max == pytest.approx(peak, abs=4.0 / (math.pi * 256) * peak)
     assert stats.mean == pytest.approx(4.0 * math.sqrt(2.0) / math.pi, rel=1e-9)
-
-
-def test_sample_stats_refinement_stops_far_from_zero():
-    # near t = 1e6 s adjacent floats are 1.2e-10 s apart, coarser than the
-    # 1e-12 s resolution; the golden-section search must still stop
-    stats = sample_stats(lambda t: np.cos(2 * np.pi * (t / 1e6 - 0.7)), 1e6, 64)
-    assert stats.max == pytest.approx(1.0, abs=1e-12)
-    assert abs(stats.argmax_t - 0.7e6) < 1.0
 
 
 @pytest.mark.parametrize("kind", [FULL, HALF])
@@ -334,7 +314,7 @@ def test_steady_state_solves_the_filter_equation(kind, fc_tau):
     assert later == pytest.approx(v, rel=0, abs=1e-12 * resistance * scale)
     # the DC level is R S mean(g): 2/pi full wave, 1/pi half wave
     mean = sample_stats(
-        lambda t: steady_state(kind, resistance, scale, fc, tau, t), period, 4096, False
+        lambda t: steady_state(kind, resistance, scale, fc, tau, t), period, 4096
     ).mean
     dc = (2.0 if kind is FULL else 1.0) / math.pi * resistance * scale
     assert mean == pytest.approx(dc, rel=1e-9)
