@@ -9,6 +9,8 @@ sampling oracle, and a design layer searches the time constant for the best
 DC-vs-ripple trade-off.
 """
 
+from types import ModuleType as _ModuleType
+
 from .design import (
     DesignResult,
     analytic_ripple,
@@ -53,38 +55,9 @@ from .rectifier import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TRUNCATION",
-    "DesignResult",
-    "FilteredSeries",
-    "FourierSeries",
-    "RcFilter",
-    "RectifierKind",
-    "SampleStats",
-    "amplification_factor",
-    "analytic_ripple",
-    "build_series",
-    "coefficients",
-    "dc_limits",
-    "dc_voltage",
-    "eval_filtered",
-    "eval_series",
-    "filtered_series",
-    "fourier_coefficient",
-    "make_grid",
-    "max_ripple",
-    "multisine_a0",
-    "optimize_capacitance",
-    "period_extrema",
-    "quad_b_coefficient",
-    "quad_coefficient",
-    "quad_multisine_a0",
-    "rectified_reference",
-    "rectify",
-    "ripple_peak",
-    "sample_stats",
-    "sampled_ripple",
-    "steady_state",
-    "sweep_cutoff",
-    "time_trace",
-]
+# each export is named once, in its import: every public name the imports
+# above bind, less the submodules they bind too
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

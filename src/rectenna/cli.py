@@ -274,11 +274,10 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_multisine_a0(args) -> int:
-    if ":" in args.df:
-        lo, hi, points, spacing = _parse_range("--df", args.df)
-        dfs = make_grid(lo, hi, points, spacing)
-    else:
+    try:
         dfs = np.array([float(args.df)])
+    except ValueError:  # not one float: read as a range, whose refusal names --df
+        dfs = make_grid(*_parse_range("--df", args.df))
     # every closed form first: it refuses df > fc, which the quadrature takes
     closed = [multisine_a0(args.kind, args.fc, df) for df in dfs.tolist()]
     quads = oracle.quad_multisine_a0(args.kind, args.fc, dfs).tolist()

@@ -21,25 +21,28 @@ half the grid, and the c_1 cosine is then added on one half period and
 subtracted on the other, a row at a time.  One kernel does all of this
 (:class:`_GridKernel`): built once for a (K, n, rows) shape, it owns the
 live amplitudes, the spectrum, the grid, the c_1 half row and every view
-a pass reads, and each pass writes into them with ``out=``.  The design
-layer's sweep and its one-row ripple metric run blocks of up to eight
-cut-offs in this thread's kernel for the block's shape
-(:func:`_prepared_kernel`, the last few shapes kept), which also forms
-their transfers at the live k, from a live ``2 pi k`` row and a live
-coefficient row cached per K and per (kind, K), into a denominator whose
-real part is preset to 1; they skip the public functions' argument checks
-and build no series object.  So a design solve's evaluations after the
-first allocate no buffer of the grid's size.  The aligned-phase peaks
-(:func:`ripple_peak`) sum the live k too.  :func:`period_extrema` is the
-one-row case.  Where that grid is coarser than 1e-12 s, :func:`grid_extrema`
-Newton-polishes both its extrema on the exact trig polynomial, with one
-stacked product for the Taylor coefficients of every row's argmax and
-argmin; finer grids keep their grid extrema.  Where c_1 is zero (the full
-wave) only the first half period is written and read, so a full-wave pass
-never reads a second half that an earlier pass on the same kernel left
-behind.
+a pass reads, and each pass writes into them with ``out=``.  Filtered
+amplitudes exist only at the live k, and one builder forms them
+(:func:`_live_amplitudes`: ``a_k R / (1 + j 2 pi k x)``, from a live
+``2 pi k`` row cached per K).  :func:`filtered_series` keeps its row in
+the series; a kernel writes a block's rows into its own buffer, from a
+live coefficient row cached per (kind, K).  The design layer's sweep and
+its one-row ripple metric run blocks of up to eight cut-offs in this
+thread's kernel for the block's shape (:func:`_prepared_kernel`, the last
+few shapes kept), with no series object, and :func:`period_extrema` runs
+a series' row there; none of them repeats the public functions' argument
+checks.  So a design solve's evaluations after the first allocate no
+buffer of the grid's size.  The aligned-phase peaks (:func:`ripple_peak`)
+sum the live k too.  Where a grid is coarser than 1e-12 s,
+:func:`grid_extrema` Newton-polishes both its extrema on the exact trig
+polynomial, with one stacked product for the Taylor coefficients of every
+row's argmax and argmin; finer grids keep their grid extrema.  Where c_1
+is zero (the full wave) only the first half period is written and read,
+so a full-wave pass never reads a second half that an earlier pass on the
+same kernel left behind.
 :func:`eval_filtered` serves arbitrary times from a Taylor table
-(:func:`taylor_table`): one period grid whose D + 1 rows are the series'
+(:func:`taylor_table`; a series builds its own from its live row, and
+checks only the carrier): one period grid whose D + 1 rows are the series'
 first D + 1 Taylor coefficients at every grid phase, built once per series.
 A time is then a table lookup at the nearest grid phase and a degree-D
 polynomial in the offset from it.  The table and the polish read one
@@ -154,21 +157,6 @@ def _amplification(resistance: float, x: float) -> float:
     return math.sqrt(resistance / (1.0 + w * w))
 
 
-def _omega_tau(xs, omegas: np.ndarray) -> np.ndarray:
-    """``2 pi k x`` for the ``2 pi k`` row ``omegas``, one row per ``x = fc tau``;
-    x = 0 gives zeros."""
-    return np.array(xs, dtype=float)[:, None] * omegas
-
-
-@lru_cache(maxsize=8)
-def _harmonic_omegas(truncation: int) -> np.ndarray:
-    """``2 pi k`` for k = 1..K, read-only: the all-K row of
-    :attr:`FilteredSeries.transfers`, for every carrier and tau."""
-    omegas = 2.0 * np.pi * np.arange(1, truncation + 1, dtype=float)
-    omegas.setflags(write=False)
-    return omegas
-
-
 def _live(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The live columns of a last axis that runs over k = 1..K: k = 1, then
     the even k, in a new array or in ``out``.  The rectifier's odd
@@ -187,7 +175,7 @@ def _live_harmonics(truncation: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _live_omegas(truncation: int) -> np.ndarray:
-    """``2 pi k`` at the live k, read-only: :func:`_harmonic_omegas`' entries."""
+    """``2 pi k`` at the live k, read-only."""
     omegas = 2.0 * np.pi * _live_harmonics(truncation)
     omegas.setflags(write=False)
     return omegas
@@ -201,49 +189,60 @@ def _live_coefficients(kind: RectifierKind, truncation: int) -> np.ndarray:
     return live
 
 
-def _transfers(resistance: float, wt: np.ndarray) -> np.ndarray:
-    """``H = R / (1 + j wt)`` for an :func:`_omega_tau` matrix, read-only.
+def _live_amplitudes(live_ak, truncation: int, resistance: float, xs, denominator, out):
+    """Write ``a_k R / (1 + j 2 pi k x)`` at the live k into ``out``, one row
+    per ``x = fc tau`` in xs, and return it: x = 0 is exactly unfiltered.
+    ``live_ak`` holds the a_k of a K = ``truncation`` series at the live k.
 
-    The denominator is assembled from its parts: ``1j * wt`` would hold
-    ``0 * inf = nan`` where wt overflows, and H is 0 there.
+    ``denominator``, of out's shape, holds ``1 + j 2 pi k x``: its real
+    part must be preset to 1, and ``2 pi k x`` goes into its imaginary
+    view, so where that overflows H is 0, not the nan of ``1j * inf``.
     """
-    denominator = np.empty(wt.shape, dtype=complex)
-    denominator.real = 1.0
-    denominator.imag = wt
-    transfers = resistance / denominator
-    transfers.setflags(write=False)
-    return transfers
+    np.multiply.outer(xs, _live_omegas(truncation), out=denominator.imag)
+    np.divide(resistance, denominator, out=out)
+    return np.multiply(live_ak, out, out=out)
 
 
 @dataclass(frozen=True)
 class FilteredSeries:
-    """A rectified series with the per-harmonic filter transfer attached.
+    """A rectified series with the filter applied at its live harmonics.
 
-    ``transfers[i]`` is the complex ``H(k fc)`` for harmonic ``k = i + 1``.
+    ``live_amplitudes`` holds the complex ``c_k = a_k H(k fc)`` at the live
+    k (k = 1, then the even k; :func:`_live`), read-only.  The rectifier's
+    odd harmonics k >= 3 are exact zeros, and so are their c_k.
     """
 
     base: FourierSeries
     filt: RcFilter
-    transfers: np.ndarray
-
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
-        """Complex amplitudes ``c_k = a_k H(k fc)``, read-only."""
-        amps = self.base.ak * self.transfers
-        amps.setflags(write=False)
-        return amps
+    live_amplitudes: np.ndarray
 
     @cached_property
     def table(self) -> np.ndarray:
-        """:func:`taylor_table` of :attr:`amplitudes`, built on first use."""
-        return taylor_table(self.amplitudes, self.base.fundamental_fc)
+        """:func:`taylor_table` of the series' c_k, built on first use.
+
+        Refuses the carrier as :func:`taylor_table` does (``ValueError``).
+        """
+        base = self.base
+        _finite(2.0 * math.pi * base.truncation * base.fundamental_fc)
+        return _table(self.live_amplitudes, base.truncation)
 
 
 def filtered_series(series: FourierSeries, filt: RcFilter) -> FilteredSeries:
-    """Attach ``H(k fc)`` for k = 1..K."""
+    """Apply ``H(k fc)`` to the series' a_k at the live k, by the builder
+    the period-grid kernel runs (:func:`_live_amplitudes`).
+
+    Raises ``ValueError`` unless fc is finite and > 0 and the odd harmonics
+    k >= 3 of ``series.ak`` are zero, as the rectifier's are.
+    """
     require_finite_positive("fc", series.fundamental_fc)
-    wt = _omega_tau([series.fundamental_fc * filt.tau], _harmonic_omegas(series.truncation))
-    return FilteredSeries(base=series, filt=filt, transfers=_transfers(filt.resistance, wt)[0])
+    _check_odd_harmonics(series.ak)
+    shape = (1, 1 + series.truncation // 2)
+    (live,) = _live_amplitudes(
+        _live(series.ak), series.truncation, filt.resistance, [series.fundamental_fc * filt.tau],
+        np.ones(shape, dtype=complex), np.empty(shape, dtype=complex),
+    )
+    live.setflags(write=False)
+    return FilteredSeries(base=series, filt=filt, live_amplitudes=live)
 
 
 def eval_filtered(fs: FilteredSeries, t):
@@ -251,8 +250,8 @@ def eval_filtered(fs: FilteredSeries, t):
 
     ``scale * (a0 R / 2 + sum_k |H(k fc)| a_k cos(2 pi k fc t + angle H(k fc)))``
     (the per-harmonic sign of ``a_k`` absorbs the 0/pi rectifier phase).
-    The sum is ``Re sum_k c_k exp(j 2 pi k fc t)`` with ``c_k`` =
-    :attr:`FilteredSeries.amplitudes`, read from the series' Taylor table
+    The sum is ``Re sum_k c_k exp(j 2 pi k fc t)`` over the live k of
+    :attr:`FilteredSeries.live_amplitudes`, read from the series' Taylor table
     (:func:`rectenna.rectifier.table_sum`): a lookup at the nearest of n
     grid phases and D + 1 multiply-adds per time, whatever K.  A scalar t
     returns a float, bitwise equal to the array path's element.  Raises
@@ -298,19 +297,15 @@ class _GridKernel:
 
     @cached_property
     def denominator(self) -> np.ndarray:
-        """``1 + j wt`` for :meth:`load_filter`, its real part set once: wt
-        goes into the imaginary view, so where wt overflows H is 0, not the
-        nan of ``1j * inf``."""
+        """``1 + j 2 pi k x`` for :meth:`load_filter`, its real part set
+        once (:func:`_live_amplitudes`)."""
         return np.ones(self.live.shape, dtype=complex)
 
     def load_filter(self, kind: RectifierKind, resistance: float, xs) -> None:
-        """``live`` = the live ``a_k R / (1 + j 2 pi k x)``, one row per
-        ``x = fc tau`` in xs: the operations of :func:`_omega_tau` and
-        :func:`_transfers`, in their order."""
-        denominator = self.denominator
-        np.multiply.outer(xs, _live_omegas(self.truncation), out=denominator.imag)
-        np.divide(resistance, denominator, out=self.live)
-        np.multiply(_live_coefficients(kind, self.truncation), self.live, out=self.live)
+        """``live`` = :func:`_live_amplitudes` at each ``x = fc tau`` in xs,
+        one row per x, through the kernel's preset denominator."""
+        live_ak = _live_coefficients(kind, self.truncation)
+        _live_amplitudes(live_ak, self.truncation, resistance, xs, self.denominator, self.live)
 
     def fill(self, scales: np.ndarray, dc: float, grid: np.ndarray | None = None) -> bool:
         """Write the period grid of ``live``, scaled by ``scales`` and with
@@ -495,12 +490,16 @@ def taylor_table(amplitudes: np.ndarray, fc: float) -> np.ndarray:
     truncation = amplitudes.shape[0]
     # the table reads no fc, but near the float maximum a trace's times
     # (2 / fc / 1024 apart) are subnormal and their phases fc t meaningless
-    if not math.isfinite(2.0 * math.pi * truncation * fc):
-        raise ValueError("result is not finite; an input is out of range")
+    _finite(2.0 * math.pi * truncation * fc)
     _check_odd_harmonics(amplitudes)
+    return _table(_live(amplitudes), truncation)
+
+
+def _table(live: np.ndarray, truncation: int) -> np.ndarray:
+    """:func:`taylor_table` of the live amplitudes ``live`` (:func:`_live`)
+    of a K = ``truncation`` row, unchecked."""
     n = 1 << (4 * truncation - 1).bit_length()
     factors = _live_factors(truncation, n, 0.5)
-    live = _live(amplitudes)
     degrees = factors.shape[0]
     table = np.empty((degrees, n))
     # as few blocks of at most _TABLE_BLOCK_CELLS as fit, of equal size
@@ -671,13 +670,15 @@ def grid_extrema(
 def period_extrema(fs: FilteredSeries, n: int) -> tuple[float, float]:
     """Max and min of the output over one carrier period, from n samples.
 
-    :func:`grid_extrema` of the series as one row: both are Newton-polished
+    Bitwise :func:`grid_extrema` of the series as one row, run in this
+    thread's prepared kernel with no check but n's: both are Newton-polished
     where the grid is coarser than 1e-12 s, and are the grid's elsewhere.
     """
-    dc = 0.5 * fs.base.a0 * fs.filt.resistance
-    (vmax,), (vmin,) = grid_extrema(
-        fs.amplitudes[None, :], (fs.base.scale,), dc, fs.base.fundamental_fc, n
-    )
+    base = fs.base
+    kernel = _prepared_kernel(base.truncation, n, 1)
+    kernel.live[0] = fs.live_amplitudes
+    dc = 0.5 * base.a0 * fs.filt.resistance
+    (vmax,), (vmin,) = kernel.extrema((base.scale,), dc, base.fundamental_fc)
     return vmax, vmin
 
 
@@ -750,7 +751,7 @@ def _aligned_peaks(kind: RectifierKind, scales, resistance: float, xs, truncatio
     (:func:`_live`) only: the other a_k are exact zeros.  Each row sums its
     terms in the order a one-row call would.
     """
-    wt = _omega_tau(xs, _live_omegas(truncation))
+    wt = np.multiply.outer(xs, _live_omegas(truncation))
     harmonics = np.sum(_live_coefficients(kind, truncation) / np.sqrt(1.0 + wt * wt), axis=1)
     a0 = fourier_coefficient(kind, 0)
     return np.asarray(scales, dtype=float) * resistance * (0.5 * a0 + harmonics)

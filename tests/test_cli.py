@@ -171,6 +171,7 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys):
         ["sweep", "--fcut", "1e8-1e11-20"],
         ["sweep", "--fcut", "1e8:1e11:5e1:log"],  # a point count that is not an int
         ["multisine-a0", "--df", "1:x:3"],  # a bound that is not a float
+        ["multisine-a0", "--df", "x"],  # neither one value nor a range
         ["trace", "--cap", "1e-10", "--t", "0:1e-9:10:log:x"],  # five parts
     ],
 )

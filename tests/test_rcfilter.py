@@ -40,9 +40,28 @@ def output_series(kind, filt, amplitude, fc, truncation=256):
     return filtered_series(build_series(kind, truncation, scale=scale, fc=fc), filt)
 
 
+def live_harmonics(truncation):
+    """The live k of a K = truncation series: 1, then the even k."""
+    return np.r_[1, 2 : truncation + 1 : 2]
+
+
+def all_harmonics(fs):
+    """The series' c_k for k = 1..K: its live row scattered back, odd k >= 3 zero."""
+    amplitudes = np.zeros(fs.base.truncation, dtype=complex)
+    amplitudes[live_harmonics(fs.base.truncation) - 1] = fs.live_amplitudes
+    return amplitudes
+
+
+def live_transfers(fs):
+    """``H(k fc)`` at the live k, read off the series' row as ``c_k / a_k``:
+    each part divided by the real a_k, so that c_k = a_k R reads R exactly."""
+    live, ak = fs.live_amplitudes, fs.base.ak[live_harmonics(fs.base.truncation) - 1]
+    return live.real / ak + 1j * (live.imag / ak)
+
+
 def one_row(fs):
     """The series as a one-row block: the amplitudes, scales and dc of period_grid."""
-    return fs.amplitudes[None, :], (fs.base.scale,), 0.5 * fs.base.a0 * fs.filt.resistance
+    return all_harmonics(fs)[None, :], (fs.base.scale,), 0.5 * fs.base.a0 * fs.filt.resistance
 
 
 def test_rc_filter_derived_quantities():
@@ -90,8 +109,8 @@ def test_amplification_factor_vanishes_for_large_tau():
 
 
 def transfer_at(filt, f, truncation=1):
-    """``H(k f)`` for k = 1..K, as :func:`filtered_series` attaches it."""
-    return filtered_series(build_series(FULL, truncation, fc=f), filt).transfers
+    """``H(k f)`` at the live k of a half wave, whose a_1 is not 0."""
+    return live_transfers(filtered_series(build_series(HALF, truncation, fc=f), filt))
 
 
 def test_transfer_dc_gain():
@@ -120,31 +139,32 @@ def test_transfer_matches_complex_arithmetic():
 
 
 def test_filtered_series_zero_tau_is_flat():
-    fs = output_series(FULL, RcFilter(2.0, 0.0), 1.0, FC)
-    assert np.all(np.abs(fs.transfers) == 2.0)
-    assert np.all(np.angle(fs.transfers) == 0.0)
+    h = live_transfers(output_series(HALF, RcFilter(2.0, 0.0), 1.0, FC))
+    assert h.shape == (129,)
+    assert np.all(np.abs(h) == 2.0)
+    assert np.all(np.angle(h) == 0.0)
 
 
 def test_filtered_series_large_capacitance_kills_harmonics():
-    fs = output_series(FULL, RcFilter(2.0, 1.0), 1.0, FC)
-    assert np.all(np.abs(fs.transfers) < 1e-6 * 2.0)
+    fs = output_series(HALF, RcFilter(2.0, 1.0), 1.0, FC)
+    assert np.all(np.abs(live_transfers(fs)) < 1e-6 * 2.0)
 
 
 def test_filtered_series_gains_match_transfer():
     filt = RcFilter.from_cutoff(2.0, 1e9)
-    fs = output_series(FULL, filt, 1.0, FC, truncation=4)
-    for k in range(1, 5):
-        h = fs.transfers[k - 1]
+    fs = output_series(HALF, filt, 1.0, FC, truncation=4)
+    for k, h in zip([1, 2, 4], live_transfers(fs), strict=True):
         expected = filt.resistance / (1.0 + 1j * 2.0 * math.pi * k * FC * filt.tau)
         assert abs(h) == pytest.approx(abs(expected), rel=1e-12)
         assert cmath.phase(h) == pytest.approx(cmath.phase(expected), rel=1e-12)
 
 
 def test_filtered_series_gains_strictly_decreasing():
-    fs = output_series(FULL, RcFilter.from_cutoff(2.0, 1e9), 1.0, FC, truncation=16)
-    assert np.all(np.diff(np.abs(fs.transfers)) < 0)
-    assert np.all(np.angle(fs.transfers) > -math.pi / 2)
-    assert np.all(np.angle(fs.transfers) < 0)
+    fs = output_series(HALF, RcFilter.from_cutoff(2.0, 1e9), 1.0, FC, truncation=16)
+    h = live_transfers(fs)
+    assert np.all(np.diff(np.abs(h)) < 0)
+    assert np.all(np.angle(h) > -math.pi / 2)
+    assert np.all(np.angle(h) < 0)
 
 
 def test_filtered_series_requires_positive_fundamental():
@@ -240,7 +260,7 @@ def test_zero_tau_survives_carrier_overflow(kind):
 )
 def test_filtered_series_at_zero_tau_is_finite_for_any_carrier(kind, truncation, fc):
     fs = filtered_series(build_series(kind, truncation, fc=fc), RcFilter(2.0, 0.0))
-    assert np.all(np.isfinite(fs.transfers))
+    assert np.all(np.isfinite(fs.live_amplitudes))
 
 
 def test_ripple_peak_tends_to_dc_voltage_for_large_tau():
@@ -292,9 +312,7 @@ def test_sampled_peak_below_triangle_bound():
     fs = output_series(FULL, filt, 1.0, FC)
     stats = sample_stats(lambda t: eval_filtered(fs, t), 1.0 / FC, 2 ** 14)
     base = fs.base
-    bound = base.scale * (
-        0.5 * base.a0 * filt.resistance + float(np.sum(np.abs(fs.transfers) * np.abs(base.ak)))
-    )
+    bound = base.scale * (0.5 * base.a0 * filt.resistance + np.sum(np.abs(fs.live_amplitudes)))
     assert stats.max <= bound * (1 + 1e-12)
 
 
@@ -383,9 +401,9 @@ def test_period_samples_fold_harmonics_as_bincount(kind, truncation, cutoff, n):
     # np.bincount; then one real inverse FFT, and the c_1 cosine added and
     # subtracted on the two half periods
     fs = output_series(kind, RcFilter.from_cutoff(2.0, cutoff), 1.5, FC, truncation)
-    amps, scale = fs.amplitudes, fs.base.scale
+    live, scale = fs.live_amplitudes, fs.base.scale
     m = n // 2
-    placed = amps[1::2]
+    placed = live[1:]
     bins = np.arange(1, placed.size + 1) % m
     mirrored = 2 * bins > m
     bins[mirrored] = m - bins[mirrored]
@@ -401,7 +419,7 @@ def test_period_samples_fold_harmonics_as_bincount(kind, truncation, cutoff, n):
     if m % 2 == 0:
         spectrum[m // 2] *= 2.0
     even_part = np.fft.irfft(spectrum, m, norm="forward")
-    c1 = amps[0] * scale
+    c1 = live[0] * scale
     if c1:
         roots = np.exp((2j * np.pi / n) * np.arange(m))
         first = c1.real * roots.real - c1.imag * roots.imag
@@ -422,7 +440,7 @@ def test_odd_sample_counts_are_refused():
     # passes an odd n
     filt = RcFilter.from_cutoff(2.0, 1e9)
     fs = output_series(FULL, filt, 1.0, FC)
-    amps, scales = fs.amplitudes[None, :], [fs.base.scale]
+    amps, scales = all_harmonics(fs)[None, :], [fs.base.scale]
     refused = [
         lambda: period_grid(amps, scales, 0.0, 4095),
         lambda: grid_extrema(amps, scales, 0.0, FC, 4095),
@@ -447,6 +465,12 @@ def test_period_grid_rejects_odd_harmonics_above_one(n, k):
         period_grid(amps, [1.0, 2.0], 0.5, n)
     with pytest.raises(ValueError):
         grid_extrema(amps, [1.0, 2.0], 0.5, 13.56e6, n)
+    # a filtered series refuses them once, where it is formed
+    series = build_series(HALF, 256, fc=13.56e6)
+    ak = series.ak.copy()
+    ak[k - 1] = 1e-300
+    with pytest.raises(ValueError, match="^odd harmonics"):
+        filtered_series(dataclasses.replace(series, ak=ak), RcFilter(2.0, 1e-12))
 
 
 # Arguments the public grid functions refuse, each with the start of its
@@ -552,7 +576,7 @@ def test_grid_extrema_read_the_public_grid(kind, truncation, n, caps, log_fc):
     # one block of rows with their own capacitance each, as a sweep forms it
     fc = 10.0**log_fc
     rows = [output_series(kind, RcFilter(2.0, c), 1.0, fc, truncation) for c in caps]
-    amps = np.array([fs.amplitudes for fs in rows])
+    amps = np.array([all_harmonics(fs) for fs in rows])
     scales = [fs.base.scale for fs in rows]
     dc = 0.5 * rows[0].base.a0 * 2.0
     vmaxs, vmins = grid_extrema(amps, scales, dc, fc, n)
@@ -569,10 +593,37 @@ def test_grid_extrema_read_the_public_grid(kind, truncation, n, caps, log_fc):
         assert np.array(alone).tobytes() == np.array([[vmaxs[r]], [vmins[r]]]).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=KINDS,
+    truncation=st.integers(1, 300),
+    resistance=st.floats(min_value=0.1, max_value=1e3),
+    cutoff=CUTOFFS,
+    log_fc=st.floats(min_value=5.0, max_value=11.0),
+    n=st.integers(1, 600).map(lambda m: 2 * m),
+)
+@example(kind=HALF, truncation=1, resistance=2.0, cutoff=1e9, log_fc=7.13, n=4096)
+@example(kind=FULL, truncation=257, resistance=2.0, cutoff=1e8, log_fc=7.13, n=1024)
+def test_filtered_series_and_the_kernel_share_one_builder(
+    kind, truncation, resistance, cutoff, log_fc, n
+):
+    # the series' live row is the kernel's row for the same x = fc tau, and
+    # its extrema and table are those of that row scattered back to k = 1..K
+    fc = 10.0**log_fc
+    filt = RcFilter.from_cutoff(resistance, cutoff)
+    fs = output_series(kind, filt, 1.0, fc, truncation)
+    kernel = rcfilter._GridKernel(truncation, np.empty((1, n)))
+    kernel.load_filter(kind, resistance, [fc * filt.tau])
+    assert kernel.live[0].tobytes() == fs.live_amplitudes.tobytes()
+    vmaxs, vmins = grid_extrema(*one_row(fs), fc, n)
+    assert np.array(period_extrema(fs, n)).tobytes() == np.array(vmaxs + vmins).tobytes()
+    assert fs.table.tobytes() == taylor_table(all_harmonics(fs), fc).tobytes()
+
+
 def output_norm(fs):
     """Bound on the output's magnitude: ``scale (|dc| + sum_k |c_k|)``."""
     dc = 0.5 * fs.base.a0 * fs.filt.resistance
-    return fs.base.scale * (abs(dc) + np.sum(np.abs(fs.amplitudes)))
+    return fs.base.scale * (abs(dc) + np.sum(np.abs(fs.live_amplitudes)))
 
 
 def grid_bias(fs, n):
@@ -582,8 +633,8 @@ def grid_bias(fs, n):
     by at most ``h^2 / 8`` times the bound ``scale sum_k k^2 |c_k|`` on its
     second derivative.
     """
-    ks = np.arange(1, fs.base.truncation + 1)
-    curvature = fs.base.scale * np.sum(ks**2 * np.abs(fs.amplitudes))
+    ks = live_harmonics(fs.base.truncation)
+    curvature = fs.base.scale * np.sum(ks**2 * np.abs(fs.live_amplitudes))
     return (2.0 * math.pi / n) ** 2 / 8.0 * curvature
 
 
@@ -652,7 +703,7 @@ def test_polished_extrema_of_one_harmonic_are_exact(series, cutoff, n, log_fc):
     kind, truncation = series
     fc = 10.0**log_fc
     fs = output_series(kind, RcFilter.from_cutoff(2.0, cutoff), 1.0, fc, truncation)
-    swing = np.sum(np.abs(fs.amplitudes))
+    swing = np.sum(np.abs(fs.live_amplitudes))
     dc = 0.5 * fs.base.a0 * fs.filt.resistance
     vmax, vmin = period_extrema(fs, n)
     tol = 1e-14 * output_norm(fs)
@@ -712,15 +763,17 @@ TWO_PI_LONG = 8 * np.arctan(LONG(1))
 
 
 def long_double_output(fs, ts):
-    """The cosine sum in long double, phase ``fc t`` reduced mod 1, one term at a time."""
+    """The cosine sum in long double, phase ``fc t`` reduced mod 1, one term at
+    a time, each with its own ``H(k fc) = R / (1 + j 2 pi k fc tau)``."""
     base = fs.base
-    amps = (np.abs(fs.transfers) * base.ak).astype(LONG)
-    phases = np.angle(fs.transfers).astype(LONG)
-    u = LONG(base.fundamental_fc) * ts.astype(LONG)
+    fc, resistance = LONG(base.fundamental_fc), LONG(fs.filt.resistance)
+    u = fc * ts.astype(LONG)
     u -= np.floor(u)
-    acc = np.full(ts.shape, LONG(0.5) * LONG(base.a0) * LONG(fs.filt.resistance))
-    for i in np.flatnonzero(base.ak):
-        acc += amps[i] * np.cos(TWO_PI_LONG * (((i + 1) * u) % 1) + phases[i])
+    acc = np.full(ts.shape, LONG(0.5) * LONG(base.a0) * resistance)
+    for k in np.flatnonzero(base.ak) + 1:
+        wt = TWO_PI_LONG * k * fc * LONG(fs.filt.tau)
+        gain = LONG(base.ak[k - 1]) * resistance / np.sqrt(1 + wt * wt)
+        acc += gain * np.cos(TWO_PI_LONG * ((k * u) % 1) - np.arctan(wt))
     return LONG(base.scale) * acc
 
 
@@ -742,7 +795,7 @@ def test_eval_filtered_matches_long_double_cosine_sum(kind, truncation, cutoff, 
     err = np.abs(eval_filtered(fs, ts) - long_double_output(fs, ts)).astype(float)
     base = fs.base
     dc = base.scale * base.a0 * fs.filt.resistance / 2.0
-    norm = abs(dc) + base.scale * float(np.sum(np.abs(fs.transfers) * np.abs(base.ak)))
+    norm = abs(dc) + base.scale * float(np.sum(np.abs(fs.live_amplitudes)))
     assert np.max(err) <= 1e-12 * norm
 
 
@@ -805,7 +858,7 @@ def test_taylor_table_rows_are_period_grids_of_derivative_amplitudes(
     amplitudes = coefficients(kind, truncation)
     if filtered:
         filt = RcFilter.from_cutoff(2.0, 1e9)
-        amplitudes = output_series(kind, filt, 1.0, FC, truncation).amplitudes
+        amplitudes = all_harmonics(output_series(kind, filt, 1.0, FC, truncation))
     table = taylor_table(amplitudes, FC)
     rows, n = table.shape
     want = period_grid(derivative_amplitudes(amplitudes, n, rows), np.ones(rows), 0.0, n)
@@ -826,10 +879,11 @@ def test_local_polynomials_are_period_grids_of_derivative_amplitudes(kind, trunc
     # grid from the inverse FFT: r_p at grid index i is the period grid of
     # c_k (j k h)^p / p! there, the constant term the series itself
     filt = RcFilter.from_cutoff(2.0, 1e9 if filtered else math.inf)
-    amplitudes = output_series(kind, filt, 1.0, FC, truncation).amplitudes
+    fs = output_series(kind, filt, 1.0, FC, truncation)
+    amplitudes = all_harmonics(fs)
     n = 4096
     indices = [[i] for i in range(0, n, 61)] + [[n - 1]]
-    live = rcfilter._live(amplitudes[None, :])
+    live = fs.live_amplitudes[None, :]
     coeffs = np.array(rcfilter._local_polynomials(live, indices, n, truncation))
     rows = coeffs.shape[1]
     grids = period_grid(derivative_amplitudes(amplitudes, n, rows), np.ones(rows), 0.0, n)
